@@ -31,7 +31,6 @@ from .duplicates import (
 )
 from .enumeration import (
     Representation,
-    enumerate_chunked,
     enumerate_sums,
     length_histogram,
     smallest_elements,
@@ -59,7 +58,6 @@ __all__ = [
     "count_sums",
     "distinct_count",
     "duplicate_surplus",
-    "enumerate_chunked",
     "enumerate_sums",
     "find_cross_power_duplicates",
     "find_duplicates",

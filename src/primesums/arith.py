@@ -2,7 +2,7 @@
 
 Values are plain Python ints, but every public operation enforces the
 unsigned ranges the rest of the package assumes: 64-bit prime/base
-values and 128-bit sums.  Nothing here ever wraps silently; a result
+values and 128-bit powers and bounds.  Nothing here ever wraps silently; a result
 that cannot fit in 128 bits raises OverflowError instead.
 """
 

@@ -10,17 +10,14 @@ exhaustion.
 
 import argparse
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from .bounds import bound_estimate, floor_lower_bound, floor_upper_bound
-from .counting import count_sums
+from .counting import count_sums, run_ends
 from .duplicates import (
     duplicate_surplus,
     find_cross_power_duplicates_from_prefixes,
     find_duplicates_from_prefix,
 )
-from .enumeration import enumerate_chunked
 from .prefix import build
 
 
@@ -65,21 +62,6 @@ def _parse_ks(text: str) -> tuple:
     return tuple(int(piece) for piece in parts)
 
 
-@dataclass
-class RunConfig:
-    command: str
-    k: Optional[int] = None
-    ks: tuple = ()
-    x: Optional[int] = None
-    from_x: Optional[int] = None
-    to_x: Optional[int] = None
-    fmt: str = "tsv"
-    out: Optional[str] = None
-    workers: int = 1
-    distinct: bool = False
-    spill_dir: Optional[str] = None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="primesums",
@@ -100,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_positive_int, required=True, help="exponent")
     p.add_argument("--x", type=parse_x, required=True, help="inclusive bound on n")
     p.add_argument("--workers", type=_positive_int, default=1,
-                   help="concurrent chunks; output is identical for any count")
+                   help="accepted and ignored; output is identical for any count")
 
     p = add("count", "one summary line: x, k, count, max run length, primes")
     p.add_argument("--k", type=_positive_int, required=True, help="exponent")
@@ -139,75 +121,67 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        k=getattr(args, "k", None),
-        ks=tuple(getattr(args, "ks", ()) or ()),
-        x=getattr(args, "x", None),
-        from_x=getattr(args, "from_x", None),
-        to_x=getattr(args, "to_x", None),
-        fmt=getattr(args, "format", "tsv"),
-        out=getattr(args, "out", None),
-        workers=getattr(args, "workers", 1),
-        distinct=getattr(args, "distinct", False),
-        spill_dir=getattr(args, "spill_dir", None),
-    )
+def _sep(args: argparse.Namespace) -> str:
+    return "\t" if args.format == "tsv" else ","
 
 
-def _sep(cfg: RunConfig) -> str:
-    return "\t" if cfg.fmt == "tsv" else ","
-
-
-def _header(cfg: RunConfig, sink, names) -> None:
-    if cfg.fmt == "csv":
+def _header(args: argparse.Namespace, sink, names) -> None:
+    if args.format == "csv":
         sink.write(",".join(names) + "\n")
 
 
-def _run_enumerate(cfg: RunConfig, sink) -> None:
-    ps = build(cfg.x, cfg.k)
-    sep = _sep(cfg)
-    _header(cfg, sink, ("n", "start_prime"))
-    for rep in enumerate_chunked(ps, cfg.workers):
-        sink.write(f"{rep.n}{sep}{rep.start_prime}\n")
+def _run_enumerate(args: argparse.Namespace, sink) -> None:
+    # --workers is accepted and ignored: one sweep writes the same bytes
+    # for any count
+    ps = build(args.x, args.k)
+    f = ps.f
+    primes = ps.primes.primes
+    sep = _sep(args)
+    _header(args, sink, ("n", "start_prime"))
+    for b, t in enumerate(run_ends(ps)):
+        # one write per start: every run from b shares its start prime
+        fb = f[b]
+        tail = f"{sep}{primes[b]}\n"
+        sink.write(tail.join([str(ft - fb) for ft in f[b + 1 : t + 1]]) + tail)
 
 
-def _run_count(cfg: RunConfig, sink) -> None:
-    ps = build(cfg.x, cfg.k)
+def _run_count(args: argparse.Namespace, sink) -> None:
+    ps = build(args.x, args.k)
     report = count_sums(ps)
     names = list(report._fields)
     values = list(report)
-    if cfg.distinct:
-        groups = find_duplicates_from_prefix(ps, spill_dir=cfg.spill_dir)
+    if args.distinct:
+        groups = find_duplicates_from_prefix(ps, spill_dir=args.spill_dir)
         names.append("distinct")
         values.append(report.count - duplicate_surplus(groups))
-    sep = _sep(cfg)
-    _header(cfg, sink, names)
+    sep = _sep(args)
+    _header(args, sink, names)
     sink.write(sep.join(str(v) for v in values) + "\n")
 
 
-def _run_table(cfg: RunConfig, sink) -> None:
-    if cfg.from_x > cfg.to_x:
-        raise UsageError(f"--from {cfg.from_x} exceeds --to {cfg.to_x}")
-    sep = _sep(cfg)
-    _header(cfg, sink, ("x", "count", "upper", "lower"))
-    x = cfg.from_x
-    while x <= cfg.to_x:
-        report = count_sums(build(x, cfg.k))
-        row = (x, report.count, floor_upper_bound(x, cfg.k), floor_lower_bound(x, cfg.k))
+def _run_table(args: argparse.Namespace, sink) -> None:
+    if args.from_x > args.to_x:
+        raise UsageError(f"--from {args.from_x} exceeds --to {args.to_x}")
+    sep = _sep(args)
+    _header(args, sink, ("x", "count", "upper", "lower"))
+    x = args.from_x
+    while x <= args.to_x:
+        report = count_sums(build(x, args.k))
+        upper = floor_upper_bound(x, args.k)
+        row = (x, report.count, upper, floor_lower_bound(x, args.k))
         sink.write(sep.join(str(v) for v in row) + "\n")
         x *= 10
 
 
-def _run_bounds(cfg: RunConfig, sink) -> None:
-    est = bound_estimate(cfg.x, cfg.k)
+def _run_bounds(args: argparse.Namespace, sink) -> None:
+    est = bound_estimate(args.x, args.k)
     names = ["x", "k", "c_k", "upper", "lower", "m_estimate"]
     values = [est.x, est.k, est.c_k, est.upper, est.lower, est.m_estimate]
     if est.tws_upper is not None:
         names.append("tws_upper")
         values.append(est.tws_upper)
-    sep = _sep(cfg)
-    _header(cfg, sink, names)
+    sep = _sep(args)
+    _header(args, sink, names)
     sink.write(sep.join(str(v) for v in values) + "\n")
 
 
@@ -225,18 +199,18 @@ def _write_groups(groups, ps_by_k, sink) -> None:
         sink.write(" = ".join(parts) + "\n")
 
 
-def _run_duplicates(cfg: RunConfig, sink) -> None:
-    ps = build(cfg.x, cfg.k)
-    groups = find_duplicates_from_prefix(ps, spill_dir=cfg.spill_dir)
-    _write_groups(groups, {cfg.k: ps}, sink)
+def _run_duplicates(args: argparse.Namespace, sink) -> None:
+    ps = build(args.x, args.k)
+    groups = find_duplicates_from_prefix(ps, spill_dir=args.spill_dir)
+    _write_groups(groups, {args.k: ps}, sink)
 
 
-def _run_cross(cfg: RunConfig, sink) -> None:
-    ks = sorted(set(cfg.ks))
+def _run_cross(args: argparse.Namespace, sink) -> None:
+    ks = sorted(set(args.ks))
     if len(ks) < 2:
-        raise UsageError(f"--ks needs at least two distinct exponents, got {cfg.ks}")
-    ps_by_k = {k: build(cfg.x, k) for k in ks}
-    groups = find_cross_power_duplicates_from_prefixes(ps_by_k, spill_dir=cfg.spill_dir)
+        raise UsageError(f"--ks needs at least two distinct exponents, got {args.ks}")
+    ps_by_k = {k: build(args.x, k) for k in ks}
+    groups = find_cross_power_duplicates_from_prefixes(ps_by_k, spill_dir=args.spill_dir)
     _write_groups(groups, ps_by_k, sink)
 
 
@@ -250,15 +224,15 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    command = _COMMANDS.get(config.command)
+def run(args: argparse.Namespace) -> int:
+    command = _COMMANDS.get(args.command)
     if command is None:
-        raise UsageError(f"unknown command {config.command!r}")
-    if config.out is not None:
-        with open(config.out, "w", encoding="ascii") as sink:
-            command(config, sink)
+        raise UsageError(f"unknown command {args.command!r}")
+    if args.out is not None:
+        with open(args.out, "w", encoding="ascii") as sink:
+            command(args, sink)
     else:
-        command(config, sys.stdout)
+        command(args, sys.stdout)
         sys.stdout.flush()
     return 0
 
@@ -267,7 +241,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return run(config_from_args(args))
+        return run(args)
     except BrokenPipeError:
         # downstream closed the pipe (enumerate | head is normal use)
         return 0

@@ -2,14 +2,16 @@
 
 The count (with multiplicity) is the number of pairs b < t with
 f[t] - f[b] <= x.  Because f is strictly increasing, the admissible
-ends for each start b form a contiguous range, and the largest
-admissible end never decreases as b grows.  A single pointer t
-therefore sweeps the array once and the whole count costs O(pi) after
-the prefix array exists.
+ends for each start b form a contiguous range b+1 .. T(b), and T(b)
+never decreases as b grows.  run_ends sweeps one pointer across the
+array once to produce every T(b), so the whole count costs O(pi) after
+the prefix array exists; enumeration, the length histogram and the
+duplicate search consume the same sweep.
 """
 
 from bisect import bisect_right
-from typing import NamedTuple
+from itertools import islice
+from typing import Iterator, NamedTuple
 
 from .prefix import PowerPrefixSums
 
@@ -27,23 +29,31 @@ def max_run_length(ps: PowerPrefixSums) -> int:
     return bisect_right(ps.f, ps.x) - 1
 
 
-def count_sums(ps: PowerPrefixSums) -> CountReport:
+def run_ends(ps: PowerPrefixSums) -> Iterator[int]:
+    """For each start b in order, the largest end T(b) with f[T(b)] - f[b] <= x.
+
+    T(b) >= b always holds: while the pointer lags behind b, f[t + 1]
+    <= f[b] is within the cap, so it catches up on its own.
+    """
     f = ps.f
     x = ps.x
-    n_primes = len(ps.primes)
-    t = max_run_length(ps)
-    longest = t
-    total = 0
-    for b in range(n_primes):
-        # t only moves forward: the largest valid end is nondecreasing
-        # in b, and for t < b the window is empty, so the pointer
-        # catches up on its own.  Contribution per b is max(t - b, 0),
-        # and t >= b always holds after the while loop since f[b+1]
-        # - f[b] = p^k <= x for every sieved prime.
-        cap = x + f[b]
-        while t < n_primes and f[t + 1] <= cap:
+    last = len(f) - 1
+    t = 0
+    for fb in islice(f, last):
+        cap = x + fb
+        while t < last and f[t + 1] <= cap:
             t += 1
-        total += t - b
+        yield t
+
+
+def count_sums(ps: PowerPrefixSums) -> CountReport:
+    n_primes = len(ps.primes)
+    # the sum of T(b) - b over every start b
+    total = sum(run_ends(ps)) - n_primes * (n_primes - 1) // 2
     return CountReport(
-        x=x, k=ps.k, count=total, max_run_length=longest, prime_count=n_primes
+        x=ps.x,
+        k=ps.k,
+        count=total,
+        max_run_length=max_run_length(ps),
+        prime_count=n_primes,
     )

@@ -15,7 +15,7 @@ import struct
 import tempfile
 from typing import Iterator, NamedTuple
 
-from .counting import count_sums
+from .counting import count_sums, run_ends
 from .enumeration import Representation
 from .prefix import PowerPrefixSums, build
 from .sieve import DEFAULT_BUDGET_BYTES
@@ -44,12 +44,18 @@ class DuplicateGroup(NamedTuple):
 def _spill_sorted(packed: list, k: int, spill_dir) -> str:
     packed.sort()
     fd, path = tempfile.mkstemp(prefix="primesums-", suffix=".run", dir=spill_dir)
-    with os.fdopen(fd, "wb", buffering=1 << 20) as out:
-        for v in packed:
-            out.write(
-                (v >> _N_SHIFT).to_bytes(16, "little")
-                + _TAIL.pack((v >> LENGTH_BITS) & _START_MASK, v & _LENGTH_MASK, k)
-            )
+    try:
+        with os.fdopen(fd, "wb", buffering=1 << 20) as out:
+            for v in packed:
+                out.write(
+                    (v >> _N_SHIFT).to_bytes(16, "little")
+                    + _TAIL.pack((v >> LENGTH_BITS) & _START_MASK, v & _LENGTH_MASK, k)
+                )
+    except BaseException:
+        # the caller only learns the path on success, so a partial file
+        # (full disk, interrupt) is removed here
+        os.unlink(path)
+        raise
     return path
 
 
@@ -71,13 +77,12 @@ def _sorted_runs(
     """Yield (n, start_index, length) for every run, ordered by n.
 
     Ties are broken by start index, so the order is total and
-    deterministic.  The enumeration loop is inlined here because this
-    is the hot path of the whole module: at large x it runs millions of
-    times, and packing straight into integers avoids building a tuple
-    per representation.
+    deterministic.  Runs are packed straight into integers, because
+    this is the hot path of the whole module: at large x it handles
+    millions of runs, and packing avoids building a tuple per
+    representation.
     """
     f = ps.f
-    x = ps.x
     k = ps.k
     n_primes = len(ps.primes)
     if n_primes > _START_MASK:
@@ -85,15 +90,15 @@ def _sorted_runs(
     packed = []
     spills = []
     try:
-        for b in range(n_primes):
+        for b, t in enumerate(run_ends(ps)):
             fb = f[b]
-            cap = x + fb
             base = b << LENGTH_BITS
-            for t in range(b + 1, n_primes + 1):
-                ft = f[t]
-                if ft > cap:
-                    break
-                packed.append((ft - fb) << _N_SHIFT | base | (t - b))
+            packed.extend(
+                [
+                    (ft - fb) << _N_SHIFT | base | m
+                    for m, ft in enumerate(f[b + 1 : t + 1], 1)
+                ]
+            )
             if len(packed) >= max_in_memory:
                 spills.append(_spill_sorted(packed, k, spill_dir))
                 packed.clear()

@@ -2,14 +2,17 @@
 
 Every n <= x of the form p_{b+1}^k + ... + p_t^k is emitted exactly
 once per witness (b, t), ordered by start index and then length: the
-outer loop walks b, the inner loop extends t until the window exceeds
-x.  The stream is a generator, so a billion representations never need
-to sit in memory at once.
+outer loop walks b, and the counting sweep supplies the last end of
+each start's run.  The stream is a generator, so a billion
+representations never need to sit in memory at once.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Iterator, NamedTuple, Optional
+from collections import Counter
+from operator import sub
+from typing import Iterator, NamedTuple
 
+from .arith import UINT128_MAX
+from .counting import max_run_length, run_ends
 from .prefix import PowerPrefixSums, build
 from .sieve import DEFAULT_BUDGET_BYTES
 
@@ -29,87 +32,36 @@ class Representation(NamedTuple):
     start_prime: int
 
 
-def enumerate_sums(
-    ps: PowerPrefixSums, start: int = 0, stop: Optional[int] = None
-) -> Iterator[Representation]:
+def enumerate_sums(ps: PowerPrefixSums) -> Iterator[Representation]:
     """Yield every representation with n <= x, b ascending, length ascending.
 
-    start/stop restrict the range of start indices; the default covers
-    every prime.  Closing the generator early is safe.
+    Closing the generator early is safe.
     """
     f = ps.f
     primes = ps.primes.primes
-    x = ps.x
     k = ps.k
-    n_primes = len(primes)
-    if stop is None or stop > n_primes:
-        stop = n_primes
-    for b in range(start, stop):
+    for b, t in enumerate(run_ends(ps)):
         fb = f[b]
-        cap = x + fb
         p = primes[b]
-        for t in range(b + 1, n_primes + 1):
-            ft = f[t]
-            if ft > cap:
-                break
-            yield Representation(ft - fb, k, b, t - b, p)
-
-
-def _chunk_list(ps: PowerPrefixSums, span) -> list:
-    return list(enumerate_sums(ps, span[0], span[1]))
-
-
-def enumerate_chunked(
-    ps: PowerPrefixSums, workers: int
-) -> Iterator[Representation]:
-    """Same stream as enumerate_sums, produced by concurrent workers.
-
-    The start-index range is split into contiguous chunks enumerated
-    independently against the shared immutable prefix array, then
-    concatenated in chunk order, so output is identical to the
-    sequential stream for any worker count.
-    """
-    n_primes = len(ps.primes)
-    if workers <= 1 or n_primes == 0:
-        yield from enumerate_sums(ps)
-        return
-    chunk = (n_primes + workers - 1) // workers
-    spans = [(lo, min(lo + chunk, n_primes)) for lo in range(0, n_primes, chunk)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for fut in [pool.submit(_chunk_list, ps, span) for span in spans]:
-            yield from fut.result()
+        for m, ft in enumerate(f[b + 1 : t + 1], 1):
+            yield Representation(ft - fb, k, b, m, p)
 
 
 def length_histogram(ps: PowerPrefixSums) -> dict:
     """Map run length m to the number of representations of that length.
 
-    Only lengths with a nonzero count appear.  Uses the same two-pointer
-    sweep as counting: a start b with largest valid end t contributes
-    one representation of every length 1..t-b, recorded in a difference
-    array so the sweep stays linear in pi + max length.
+    Only lengths with a nonzero count appear.  A start b with largest
+    valid end T(b) contributes one representation of every length
+    1..T(b)-b, so the count for m is the number of starts whose run is
+    at least m long.  Runs shorten as b grows, so every length up to
+    the first start's run occurs.
     """
-    f = ps.f
-    x = ps.x
-    n_primes = len(ps.primes)
-    t = 0
-    while t < n_primes and f[t + 1] <= x:
-        t += 1
-    longest = t
-    diff = [0] * (longest + 2)
-    for b in range(n_primes):
-        cap = x + f[b]
-        while t < n_primes and f[t + 1] <= cap:
-            t += 1
-        run = t - b
-        if run > 0:
-            diff[1] += 1
-            diff[run + 1] -= 1
+    runs = Counter(map(sub, run_ends(ps), range(len(ps.primes))))
     hist = {}
-    acc = 0
-    for m in range(1, longest + 1):
-        acc += diff[m]
-        if acc > 0:
-            hist[m] = acc
+    acc = len(ps.primes) - runs[0]  # starts with a run of length >= 1
+    for m in range(1, max_run_length(ps) + 1):
+        hist[m] = acc
+        acc -= runs[m]
     return hist
 
 
@@ -118,16 +70,24 @@ def smallest_elements(
 ) -> list:
     """The count smallest distinct representable values, ascending.
 
-    Doubles the search bound until enough distinct values are found;
-    any bound x captures every representable n <= x, so the first
-    count values of the sorted distinct set are final.
+    Multiplies the search bound by 16 until enough distinct values are
+    found; any bound x captures every representable n <= x, so the first
+    count values of the sorted distinct set are final.  The bound stops
+    at 2^128 - 1, and asking for more values than lie below it raises
+    ValueError.
     """
     if count < 1:
         return []
     x = 1 << (k + 4)
     while True:
+        x = min(x, UINT128_MAX)
         ps = build(x, k, budget_bytes)
         seen = {rep.n for rep in enumerate_sums(ps)}
         if len(seen) >= count:
             return sorted(seen)[:count]
+        if x == UINT128_MAX:
+            raise ValueError(
+                f"only {len(seen)} values below 2^128 are sums of consecutive"
+                f" prime powers for k={k}, {count} requested"
+            )
         x <<= 4

@@ -8,8 +8,9 @@ differences.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .arith import UINT128_MAX, check_uint128, checked_pow, integer_kth_root
+from .arith import check_uint128, checked_pow, integer_kth_root
 from .sieve import DEFAULT_BUDGET_BYTES, PrimeList, primes_up_to
 
 K_MIN = 2
@@ -46,25 +47,17 @@ class PowerPrefixSums:
 def build_from_primes(primes, k: int, x: int) -> PowerPrefixSums:
     """Prefix sums over an explicit ascending prime sequence.
 
-    Raises OverflowError naming the offending index if any running
-    total leaves the 128-bit range.
+    A PrimeList is kept as it is; any other sequence is listed under a
+    limit equal to its last prime.  Only each p^k is range-checked: f
+    itself may pass 2^128, because callers only ever use differences
+    of f that are bounded by x.
     """
     check_power(k)
-    prime_values = list(primes)
-    f = [0] * (len(prime_values) + 1)
-    total = 0
-    for i, p in enumerate(prime_values):
-        total += checked_pow(p, k)
-        if total > UINT128_MAX:
-            raise OverflowError(
-                f"prefix sum through prime index {i} (p={p}) exceeds"
-                f" 128 bits; reduce x"
-            )
-        f[i + 1] = total
-    limit = prime_values[-1] if prime_values else 0
-    return PowerPrefixSums(
-        x=x, k=k, primes=PrimeList(limit=limit, primes=prime_values), f=f
-    )
+    if not isinstance(primes, PrimeList):
+        values = list(primes)
+        primes = PrimeList(limit=values[-1] if values else 0, primes=values)
+    f = list(accumulate((checked_pow(p, k) for p in primes.primes), initial=0))
+    return PowerPrefixSums(x=x, k=k, primes=primes, f=f)
 
 
 def build(x: int, k: int, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> PowerPrefixSums:
@@ -76,6 +69,4 @@ def build(x: int, k: int, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> PowerPref
     check_power(k)
     check_uint128(x, "x")
     root = integer_kth_root(x, k)
-    plist = primes_up_to(root, budget_bytes)
-    ps = build_from_primes(plist.primes, k, x)
-    return PowerPrefixSums(x=x, k=k, primes=plist, f=ps.f)
+    return build_from_primes(primes_up_to(root, budget_bytes), k, x)

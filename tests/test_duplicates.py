@@ -1,7 +1,9 @@
+import errno
 import os
 
 import pytest
 
+from primesums import duplicates
 from primesums.counting import count_sums
 from primesums.duplicates import (
     RECORD_SIZE,
@@ -49,6 +51,25 @@ def test_spill_path_matches_in_memory(tmp_path):
     assert spilled == in_memory
     assert len(in_memory) == 5
     assert os.listdir(tmp_path) == []  # spill files removed
+
+
+def test_failed_spill_leaves_no_file(tmp_path, monkeypatch):
+    # the disk fills up partway into the second spill file
+    real_tail = duplicates._TAIL
+    written = []
+
+    class FullDisk:
+        def pack(self, *fields):
+            if len(written) == 1500:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            written.append(fields)
+            return real_tail.pack(*fields)
+
+    monkeypatch.setattr(duplicates, "_TAIL", FullDisk())
+    with pytest.raises(OSError) as info:
+        find_duplicates(10 ** 8, 2, max_in_memory=1000, spill_dir=str(tmp_path))
+    assert info.value.errno == errno.ENOSPC
+    assert os.listdir(tmp_path) == []
 
 
 def test_spill_record_round_trip(tmp_path):

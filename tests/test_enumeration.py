@@ -6,12 +6,7 @@ import pytest
 from golden import INITIAL_ELEMENTS, WORKED_CUBE_PAIRS, direct_sums
 from primesums.bounds import per_length_bound
 from primesums.counting import count_sums
-from primesums.enumeration import (
-    enumerate_chunked,
-    enumerate_sums,
-    length_histogram,
-    smallest_elements,
-)
+from primesums.enumeration import enumerate_sums, length_histogram, smallest_elements
 from primesums.prefix import build
 
 
@@ -76,12 +71,6 @@ def test_early_close_is_clean():
     stream.close()
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3, 5, 8])
-def test_chunked_identical_to_sequential(workers):
-    ps = build(10 ** 5, 2)
-    assert list(enumerate_chunked(ps, workers)) == list(enumerate_sums(ps))
-
-
 def test_histogram_worked_examples():
     assert length_histogram(build(1000, 3)) == {1: 4, 2: 3, 3: 2, 4: 1}
     assert length_histogram(build(100, 2)) == {1: 4, 2: 3, 3: 2, 4: 1}
@@ -107,3 +96,9 @@ def test_smallest_elements_match_reference():
 def test_smallest_elements_edges():
     assert smallest_elements(2, 0) == []
     assert smallest_elements(2, 1) == [4]
+
+
+def test_smallest_elements_at_128_bit_edge():
+    assert smallest_elements(64, 3) == [2 ** 64, 3 ** 64, 2 ** 64 + 3 ** 64]
+    with pytest.raises(ValueError, match="only 3 values below 2\\^128"):
+        smallest_elements(64, 10)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from golden import is_prime_trial, trial_primes
+from primesums.counting import count_sums
 from primesums.prefix import build, build_from_primes, check_power
 from primesums.sieve import SieveMemoryError
 
@@ -64,15 +65,22 @@ def test_build_respects_sieve_budget():
         build(10 ** 30, 2, budget_bytes=10 ** 6)
 
 
-def test_overflow_names_failing_index():
-    # fourth powers of primes just below 2^31 overflow 128 bits after
-    # seventeen terms or so
+def test_prefix_past_128_bits_still_counts():
+    # fourth powers of primes just below 2^31 push the running sum f
+    # past 2^128 after seventeen terms or so, while every window that
+    # is counted stays within x
     primes = [p for p in range(2 ** 31 - 1201, 2 ** 31) if is_prime_trial(p)]
     assert len(primes) >= 20
-    with pytest.raises(OverflowError) as info:
-        build_from_primes(primes, 4, 2 ** 128 - 1)
-    message = str(info.value)
-    assert "index" in message and "reduce x" in message
+    x = 2 ** 128 - 1
+    ps = build_from_primes(primes, 4, x)
+    assert ps.f[-1] > x
+    naive = sum(
+        1
+        for b in range(len(primes))
+        for t in range(b + 1, len(primes) + 1)
+        if sum(p ** 4 for p in primes[b:t]) <= x
+    )
+    assert count_sums(ps).count == naive
 
 
 def test_build_from_primes_matches_build():
