@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distinct", action="store_true",
                    help="append the distinct-value count (runs the duplicate scan)")
     p.add_argument("--spill-dir", metavar="PATH", default=None,
-                   help="directory for temporary sort spills")
+                   help="accepted and ignored; nothing is written to disk")
 
     p = add("table", "decade rows from --from to --to: x, count, upper, lower")
     p.add_argument("--k", type=_positive_int, required=True, help="exponent")
@@ -107,16 +107,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_positive_int, required=True, help="exponent")
     p.add_argument("--x", type=parse_x, required=True, help="inclusive bound on n")
     p.add_argument("--workers", type=_positive_int, default=1,
-                   help="accepted for symmetry; the sort is single-threaded")
+                   help="accepted and ignored; output is identical for any count")
     p.add_argument("--spill-dir", metavar="PATH", default=None,
-                   help="directory for temporary sort spills")
+                   help="accepted and ignored; nothing is written to disk")
 
     p = add("cross", "values representable under several exponents, expanded")
     p.add_argument("--ks", type=_parse_ks, required=True,
                    help="comma-separated exponents, e.g. 2,3")
     p.add_argument("--x", type=parse_x, required=True, help="inclusive bound on n")
     p.add_argument("--spill-dir", metavar="PATH", default=None,
-                   help="directory for temporary sort spills")
+                   help="accepted and ignored; nothing is written to disk")
 
     return parser
 
@@ -151,7 +151,7 @@ def _run_count(args: argparse.Namespace, sink) -> None:
     names = list(report._fields)
     values = list(report)
     if args.distinct:
-        groups = find_duplicates_from_prefix(ps, spill_dir=args.spill_dir)
+        groups = find_duplicates_from_prefix(ps)
         names.append("distinct")
         values.append(report.count - duplicate_surplus(groups))
     sep = _sep(args)
@@ -160,6 +160,8 @@ def _run_count(args: argparse.Namespace, sink) -> None:
 
 
 def _run_table(args: argparse.Namespace, sink) -> None:
+    if args.from_x < 2:
+        raise UsageError(f"--from must be at least 2, got {args.from_x}")
     if args.from_x > args.to_x:
         raise UsageError(f"--from {args.from_x} exceeds --to {args.to_x}")
     sep = _sep(args)
@@ -201,7 +203,7 @@ def _write_groups(groups, ps_by_k, sink) -> None:
 
 def _run_duplicates(args: argparse.Namespace, sink) -> None:
     ps = build(args.x, args.k)
-    groups = find_duplicates_from_prefix(ps, spill_dir=args.spill_dir)
+    groups = find_duplicates_from_prefix(ps)
     _write_groups(groups, {args.k: ps}, sink)
 
 
@@ -210,7 +212,7 @@ def _run_cross(args: argparse.Namespace, sink) -> None:
     if len(ks) < 2:
         raise UsageError(f"--ks needs at least two distinct exponents, got {args.ks}")
     ps_by_k = {k: build(args.x, k) for k in ks}
-    groups = find_cross_power_duplicates_from_prefixes(ps_by_k, spill_dir=args.spill_dir)
+    groups = find_cross_power_duplicates_from_prefixes(ps_by_k)
     _write_groups(groups, ps_by_k, sink)
 
 

@@ -1,19 +1,24 @@
 """Integers with more than one representation as a consecutive run.
 
-The search mirrors a sort-and-uniq pipeline: stream every
-representation, sort by value, and scan for adjacent equals.  Runs are
-packed into single integers so the in-memory sort works on a flat list;
-jobs larger than the configured cap spill sorted chunks as fixed-width
-binary records to temporary files and merge them back lazily.  The
-cross-power variant merges the per-exponent sorted streams instead of
-materializing any set.
+Every run is a window f[b+m] - f[b] of the prefix sums.  The search
+sorts 64-bit keys instead of the sums: with g = C*f mod 2^64 for an odd
+constant C, the key g[b+m] - g[b] of a window equals C*n mod 2^64, so
+equal sums always get equal keys, and all keys of one length m come
+from a single numpy subtraction.  Sorting the keys and comparing
+neighbours finds every key that repeats.  Each window with such a key
+is then mapped back to its exact Python-int sum, regrouped on it and
+checked by direct summation, which drops windows that only share a key
+(possible once x >= 2^64).  The cross-power search sorts the keys of
+every exponent together and keeps the groups that span two exponents.
+
+Multiplying by C spreads even small sums over the whole key range, so
+a job with more keys than the in-memory cap sorts one slice of
+[0, 2^64) per pass: memory stays bounded and nothing is written to
+disk.  numpy is imported by the search itself, so commands that never
+search for duplicates do not pay for loading it.
 """
 
-import heapq
-import os
-import struct
-import tempfile
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .counting import count_sums, run_ends
 from .enumeration import Representation
@@ -22,16 +27,9 @@ from .sieve import DEFAULT_BUDGET_BYTES
 
 DEFAULT_MAX_IN_MEMORY = 50_000_000
 
-START_BITS = 48
-LENGTH_BITS = 48
-_N_SHIFT = START_BITS + LENGTH_BITS
-_START_MASK = (1 << START_BITS) - 1
-_LENGTH_MASK = (1 << LENGTH_BITS) - 1
-
-# spill record: n (16 bytes) then start_index, length, k, 7 pad bytes
-RECORD_SIZE = 40
-_TAIL = struct.Struct("<QQB7x")
-_RECORDS_PER_READ = 1 << 14
+# odd, so multiplying by it permutes the residues mod 2^64
+_SCRAMBLE = 0x9E3779B97F4A7C15
+_MASK64 = (1 << 64) - 1
 
 
 class DuplicateGroup(NamedTuple):
@@ -41,82 +39,66 @@ class DuplicateGroup(NamedTuple):
     members: tuple  # two or more Representation, sorted by (k, start_prime)
 
 
-def _spill_sorted(packed: list, k: int, spill_dir) -> str:
-    packed.sort()
-    fd, path = tempfile.mkstemp(prefix="primesums-", suffix=".run", dir=spill_dir)
-    try:
-        with os.fdopen(fd, "wb", buffering=1 << 20) as out:
-            for v in packed:
-                out.write(
-                    (v >> _N_SHIFT).to_bytes(16, "little")
-                    + _TAIL.pack((v >> LENGTH_BITS) & _START_MASK, v & _LENGTH_MASK, k)
-                )
-    except BaseException:
-        # the caller only learns the path on success, so a partial file
-        # (full disk, interrupt) is removed here
-        os.unlink(path)
-        raise
-    return path
+def _key_table(np, ps: PowerPrefixSums):
+    """g = C*f mod 2^64, and for m = 1, 2, ... the number of starts with a run of m or more terms."""
+    g = np.fromiter(
+        ((v * _SCRAMBLE) & _MASK64 for v in ps.f), dtype=np.uint64, count=len(ps.f)
+    )
+    n = len(ps.primes)
+    lengths = np.fromiter(run_ends(ps), dtype=np.int64, count=n) - np.arange(n)
+    # runs never lengthen as b grows, so the starts whose run has m or
+    # more terms are exactly 0 .. reach[m - 1] - 1
+    reach = (n - np.cumsum(np.bincount(lengths))[:-1]).tolist()
+    return g, reach
 
 
-def _read_spill(path: str) -> Iterator[tuple]:
-    with open(path, "rb", buffering=1 << 20) as src:
-        while True:
-            block = src.read(RECORD_SIZE * _RECORDS_PER_READ)
-            if not block:
-                return
-            for off in range(0, len(block), RECORD_SIZE):
-                n = int.from_bytes(block[off : off + 16], "little")
-                b, m, k = _TAIL.unpack_from(block, off + 16)
-                yield n, b, m
+def _windows(tables: dict):
+    """Yield (k, m, keys of the length-m windows indexed by start b) for every k and m."""
+    for k, (g, reach) in tables.items():
+        for m, count in enumerate(reach, 1):
+            yield k, m, g[m : m + count] - g[:count]
 
 
-def _sorted_runs(
-    ps: PowerPrefixSums, max_in_memory: int, spill_dir
-) -> Iterator[tuple]:
-    """Yield (n, start_index, length) for every run, ordered by n.
+def _repeated_keys(np, tables: dict, max_in_memory: int):
+    """Sorted distinct keys that two or more windows share.
 
-    Ties are broken by start index, so the order is total and
-    deterministic.  Runs are packed straight into integers, because
-    this is the hot path of the whole module: at large x it handles
-    millions of runs, and packing avoids building a tuple per
-    representation.
+    Pass i sorts the keys whose top 32 bits t have (t * passes) >> 32
+    == i, with as many passes as it takes to hold about max_in_memory
+    keys at once; a first pass counts each slice so that every buffer
+    is allocated at its exact size.
     """
-    f = ps.f
-    k = ps.k
-    n_primes = len(ps.primes)
-    if n_primes > _START_MASK:
-        raise OverflowError(f"{n_primes} primes exceed the packed index range")
-    packed = []
-    spills = []
-    try:
-        for b, t in enumerate(run_ends(ps)):
-            fb = f[b]
-            base = b << LENGTH_BITS
-            packed.extend(
-                [
-                    (ft - fb) << _N_SHIFT | base | m
-                    for m, ft in enumerate(f[b + 1 : t + 1], 1)
-                ]
-            )
-            if len(packed) >= max_in_memory:
-                spills.append(_spill_sorted(packed, k, spill_dir))
-                packed.clear()
-        if not spills:
-            packed.sort()
-            for v in packed:
-                yield v >> _N_SHIFT, (v >> LENGTH_BITS) & _START_MASK, v & _LENGTH_MASK
-            return
-        if packed:
-            spills.append(_spill_sorted(packed, k, spill_dir))
-            packed.clear()
-        yield from heapq.merge(*map(_read_spill, spills))
-    finally:
-        for path in spills:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+    total = sum(sum(reach) for _, reach in tables.values())
+    passes = max(1, -(-total // max_in_memory))
+    if passes == 1:
+        return _slice_repeats(np, tables, total, None, None)
+    shift = np.uint64(32)
+    sizes = np.zeros(passes, dtype=np.int64)
+    for _, _, keys in _windows(tables):
+        slices = ((keys >> shift) * np.uint64(passes)) >> shift
+        sizes += np.bincount(slices.astype(np.intp), minlength=passes)
+    # slice i holds the keys from starts[i] up to, not including, starts[i + 1]
+    starts = [-(-(i << 32) // passes) << 32 for i in range(passes + 1)]
+    return np.concatenate([
+        _slice_repeats(np, tables, size, np.uint64(lo), np.uint64(hi - lo))
+        for size, lo, hi in zip(sizes.tolist(), starts, starts[1:])
+    ])
+
+
+def _slice_repeats(np, tables: dict, size: int, lo, width):
+    """Sorted distinct shared keys among those with (key - lo) mod 2^64 < width.
+
+    width None takes every key.  The slice's buffer is freed on return,
+    before the next pass fills its own.
+    """
+    out = np.empty(size, dtype=np.uint64)
+    pos = 0
+    for _, _, keys in _windows(tables):
+        if width is not None:
+            keys = np.compress(keys - lo < width, keys)
+        out[pos : pos + len(keys)] = keys
+        pos += len(keys)
+    out.sort()
+    return np.unique(out[1:][out[1:] == out[:-1]])
 
 
 def _verified_member(ps: PowerPrefixSums, n: int, b: int, m: int) -> Representation:
@@ -138,6 +120,37 @@ def _group(ps_by_k: dict, n: int, rows: list) -> DuplicateGroup:
     return DuplicateGroup(n=n, members=members)
 
 
+def _duplicate_groups(ps_by_k: dict, max_in_memory: int) -> list:
+    """Values with two runs under one exponent, or runs under two of several exponents."""
+    if max_in_memory < 1:
+        raise ValueError(f"max_in_memory must be positive, got {max_in_memory}")
+    import numpy as np
+
+    tables = {k: _key_table(np, ps) for k, ps in ps_by_k.items()}
+    repeated = _repeated_keys(np, tables, max_in_memory)
+    # a bitmap over the top 16 bits of the repeated keys passes only a
+    # few windows on to the exact membership test; 16-bit values index
+    # it as an int64 view, which numpy gathers faster than uint64
+    shift = np.uint64(48)
+    near = np.zeros(1 << 16, dtype=bool)
+    near[(repeated >> shift).view(np.int64)] = True
+    rows_by_n = {}
+    for k, m, keys in _windows(tables):
+        hits = np.flatnonzero(np.take(near, (keys >> shift).view(np.int64)))
+        if len(hits):
+            hits = hits[np.isin(keys[hits], repeated)]
+        f = ps_by_k[k].f
+        for b in hits.tolist():
+            rows_by_n.setdefault(f[b + m] - f[b], []).append((k, b, m))
+    groups = []
+    for n in sorted(rows_by_n):
+        rows = rows_by_n[n]
+        # a cross-power group needs runs under two exponents
+        if len(rows if len(tables) == 1 else {row[0] for row in rows}) > 1:
+            groups.append(_group(ps_by_k, n, rows))
+    return groups
+
+
 def find_duplicates(
     x: int,
     k: int,
@@ -155,26 +168,12 @@ def find_duplicates_from_prefix(
     max_in_memory: int = DEFAULT_MAX_IN_MEMORY,
     spill_dir=None,
 ) -> list:
-    groups = []
-    ps_by_k = {ps.k: ps}
-    cur_n = -1
-    rows = []
-    for n, b, m in _sorted_runs(ps, max_in_memory, spill_dir):
-        if n != cur_n:
-            if len(rows) > 1:
-                groups.append(_group(ps_by_k, cur_n, rows))
-            cur_n = n
-            rows = [(ps.k, b, m)]
-        else:
-            rows.append((ps.k, b, m))
-    if len(rows) > 1:
-        groups.append(_group(ps_by_k, cur_n, rows))
-    return groups
+    """Duplicate groups of one prefix array.
 
-
-def _tagged(runs: Iterator[tuple], k: int) -> Iterator[tuple]:
-    for n, b, m in runs:
-        yield n, k, b, m
+    At most about max_in_memory keys (8 bytes each) are sorted at once;
+    spill_dir is accepted and ignored, as nothing is written to disk.
+    """
+    return _duplicate_groups({ps.k: ps}, max_in_memory)
 
 
 def find_cross_power_duplicates(
@@ -201,26 +200,11 @@ def find_cross_power_duplicates_from_prefixes(
     max_in_memory: int = DEFAULT_MAX_IN_MEMORY,
     spill_dir=None,
 ) -> list:
+    """Cross-power groups of several prefix arrays; spill_dir is ignored."""
     ks = sorted(ps_by_k)
     if len(ks) < 2:
         raise ValueError(f"cross-power search needs >= 2 distinct exponents, got {ks}")
-    streams = [
-        _tagged(_sorted_runs(ps_by_k[k], max_in_memory, spill_dir), k) for k in ks
-    ]
-    groups = []
-    cur_n = -1
-    rows = []
-    for n, k, b, m in heapq.merge(*streams):
-        if n != cur_n:
-            if len({row[0] for row in rows}) > 1:
-                groups.append(_group(ps_by_k, cur_n, rows))
-            cur_n = n
-            rows = [(k, b, m)]
-        else:
-            rows.append((k, b, m))
-    if len({row[0] for row in rows}) > 1:
-        groups.append(_group(ps_by_k, cur_n, rows))
-    return groups
+    return _duplicate_groups(ps_by_k, max_in_memory)
 
 
 def duplicate_surplus(groups: list) -> int:

@@ -99,6 +99,17 @@ def test_table_rejects_reversed_range(capsys):
     assert "exceeds" in err
 
 
+def test_table_rejects_start_below_two(capsys):
+    # the bound columns need x >= 2, and from 0 the decade step never advances
+    for start in ("0", "1"):
+        for fmt in ("tsv", "csv"):
+            code, out, err = run_cli(capsys, "table", "--k", "2", "--from", start,
+                                     "--to", "1e3", "--format", fmt)
+            assert code == 1
+            assert out == ""
+            assert "--from must be at least 2" in err
+
+
 def test_bounds_output(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--k", "2", "--x", "1e3",
                            "--format", "csv")
@@ -170,3 +181,15 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1000\t3\t10\t4\t4\n"
+
+
+@pytest.mark.parametrize("code", [
+    "import primesums",
+    "from primesums.cli import main; main(['table', '--k', '3', '--from', '1e3', '--to', '1e6'])",
+])
+def test_numpy_loaded_only_by_duplicate_search(code):
+    # a numpy import costs every enumerate and table process 0.1-0.2 s
+    check = f"import sys; {code}; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == "False"

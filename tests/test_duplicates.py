@@ -1,14 +1,10 @@
-import errno
 import os
+import tempfile
 
 import pytest
 
-from primesums import duplicates
 from primesums.counting import count_sums
 from primesums.duplicates import (
-    RECORD_SIZE,
-    _read_spill,
-    _spill_sorted,
     distinct_count,
     duplicate_surplus,
     find_cross_power_duplicates,
@@ -45,40 +41,31 @@ def test_members_verify_and_are_distinct():
         assert all(m.n == group.n for m in group.members)
 
 
-def test_spill_path_matches_in_memory(tmp_path):
+def test_small_memory_cap_same_results_no_files(tmp_path, monkeypatch):
+    # the caps split the searches into 32 and 6 passes
+    spill = tmp_path / "spill"
+    temp = tmp_path / "temp"
+    spill.mkdir()
+    temp.mkdir()
+    monkeypatch.setenv("TMPDIR", str(temp))
+    monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+    capped = dict(max_in_memory=1000, spill_dir=str(spill))
     in_memory = find_duplicates(10 ** 8, 2)
-    spilled = find_duplicates(10 ** 8, 2, max_in_memory=1000, spill_dir=str(tmp_path))
-    assert spilled == in_memory
     assert len(in_memory) == 5
-    assert os.listdir(tmp_path) == []  # spill files removed
+    assert find_duplicates(10 ** 8, 2, **capped) == in_memory
+    cross = find_cross_power_duplicates(10 ** 5, {2, 3})
+    capped_cross = find_cross_power_duplicates(
+        10 ** 5, {2, 3}, max_in_memory=100, spill_dir=str(spill)
+    )
+    assert capped_cross == cross
+    assert distinct_count(10 ** 8, 2, **capped) == distinct_count(10 ** 8, 2)
+    assert os.listdir(spill) == []
+    assert os.listdir(temp) == []
 
 
-def test_failed_spill_leaves_no_file(tmp_path, monkeypatch):
-    # the disk fills up partway into the second spill file
-    real_tail = duplicates._TAIL
-    written = []
-
-    class FullDisk:
-        def pack(self, *fields):
-            if len(written) == 1500:
-                raise OSError(errno.ENOSPC, "No space left on device")
-            written.append(fields)
-            return real_tail.pack(*fields)
-
-    monkeypatch.setattr(duplicates, "_TAIL", FullDisk())
-    with pytest.raises(OSError) as info:
-        find_duplicates(10 ** 8, 2, max_in_memory=1000, spill_dir=str(tmp_path))
-    assert info.value.errno == errno.ENOSPC
-    assert os.listdir(tmp_path) == []
-
-
-def test_spill_record_round_trip(tmp_path):
-    rows = [(5, 3, 1), (2 ** 100 + 7, 123456, 9999), (40, 0, 2)]
-    packed = [(n << 96) | (b << 48) | m for n, b, m in rows]
-    path = _spill_sorted(packed, 2, str(tmp_path))
-    assert os.path.getsize(path) == RECORD_SIZE * len(rows)
-    assert list(_read_spill(path)) == sorted(rows)
-    os.unlink(path)
+def test_memory_cap_must_be_positive():
+    with pytest.raises(ValueError):
+        find_duplicates(10 ** 5, 2, max_in_memory=0)
 
 
 def test_cross_power_witness():

@@ -1,26 +1,38 @@
-"""Property tests: every consumer of the counting sweep agrees with direct summation.
+"""Property tests: the fast paths agree with direct summation.
 
 Counting, the length histogram, the enumerator and the CLI writer all
-read the run ends of one sweep; here random (x, k) pairs compare each
-of them against golden.direct_sums, which sums term by term from
-trial-division primes and shares no code with the package.
+read the run ends of one sweep, and the duplicate searches sort 64-bit
+keys of the same runs; here random (x, k) pairs compare each of them
+against golden.direct_sums, which sums term by term from trial-division
+primes and shares no code with the package.
 """
 
 import io
+from collections import Counter
 from contextlib import redirect_stdout
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golden import direct_sums
+from primesums import duplicates
 from primesums.cli import main
 from primesums.counting import count_sums
+from primesums.duplicates import (
+    distinct_count,
+    find_cross_power_duplicates,
+    find_duplicates,
+)
 from primesums.enumeration import enumerate_sums, length_histogram
 from primesums.prefix import build
 
 # x stays below 10^7 so that direct_sums, quadratic in the prime
 # count, keeps each example to milliseconds
 cases = st.tuples(st.integers(0, 10 ** 7), st.integers(2, 12))
+# squares first repeat at 14720439, so duplicate cases reach 10^8
+duplicate_cases = st.one_of(cases, st.tuples(st.integers(10 ** 7, 10 ** 8), st.just(2)))
+exponent_pairs = st.lists(st.integers(2, 6), min_size=2, max_size=2, unique=True)
 
 
 @settings(deadline=None)
@@ -43,3 +55,64 @@ def test_cli_enumerate_matches_direct_sums(case):
     assert code == 0
     rows = direct_sums(x, k)
     assert out.getvalue() == "".join(f"{n}\t{p}\n" for n, p, _ in rows)
+
+
+def brute_duplicates(x, k):
+    """(n, [(start_prime, length), ...]) for each n with two or more runs."""
+    rows = direct_sums(x, k)
+    repeats = Counter(n for n, _, _ in rows)
+    return [
+        (n, [(p, m) for value, p, m in rows if value == n])
+        for n in sorted(n for n, c in repeats.items() if c > 1)
+    ]
+
+
+def brute_cross(x, ks):
+    """(n, [(k, start_prime, length), ...]) for each n with runs under two exponents."""
+    rows = sorted((n, k, p, m) for k in ks for n, p, m in direct_sums(x, k))
+    by_n = {}
+    for n, k, p, m in rows:
+        by_n.setdefault(n, []).append((k, p, m))
+    return [(n, runs) for n, runs in sorted(by_n.items()) if len({r[0] for r in runs}) > 1]
+
+
+def found_duplicates(groups):
+    return [(g.n, [(m.start_prime, m.length) for m in g.members]) for g in groups]
+
+
+def found_cross(groups):
+    return [(g.n, [(m.k, m.start_prime, m.length) for m in g.members]) for g in groups]
+
+
+@settings(deadline=None)
+@given(duplicate_cases)
+def test_duplicates_and_distinct_count_match_brute_force(case):
+    x, k = case
+    assert found_duplicates(find_duplicates(x, k)) == brute_duplicates(x, k)
+    assert distinct_count(x, k) == len({n for n, _, _ in direct_sums(x, k)})
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10 ** 6), exponent_pairs)
+def test_cross_power_duplicates_match_brute_force(x, ks):
+    assert found_cross(find_cross_power_duplicates(x, ks)) == brute_cross(x, ks)
+
+
+def test_duplicate_searches_past_64_bits():
+    # f and the sums pass 2^64 here, so the search sorts wrapped residues
+    x = 10 ** 30
+    assert found_duplicates(find_duplicates(x, 8)) == brute_duplicates(x, 8) == []
+    assert distinct_count(x, 8) == len({n for n, _, _ in direct_sums(x, 8)})
+    assert found_cross(find_cross_power_duplicates(x, {8, 10})) == brute_cross(x, {8, 10})
+
+
+def test_colliding_keys_are_separated_by_exact_sums():
+    # an even multiplier maps every sum to one of two keys, so nearly
+    # every pair of runs shares a key and only the exact regrouping on
+    # Python-int sums can tell them apart
+    with mock.patch.object(duplicates, "_SCRAMBLE", 1 << 63):
+        for cap in (10 ** 6, 1000):
+            found = find_duplicates(10 ** 8, 2, max_in_memory=cap)
+            assert found_duplicates(found) == brute_duplicates(10 ** 8, 2)
+            cross = find_cross_power_duplicates(10 ** 5, {2, 3}, max_in_memory=cap)
+            assert found_cross(cross) == brute_cross(10 ** 5, {2, 3})
