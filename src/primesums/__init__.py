@@ -36,7 +36,7 @@ from .enumeration import (
     smallest_elements,
 )
 from .prefix import PowerPrefixSums, build, build_from_primes
-from .sieve import PrimeList, SieveMemoryError, prime_count, primes_up_to
+from .sieve import SieveMemoryError, prime_count, primes_up_to
 
 __version__ = "1.0.0"
 
@@ -47,7 +47,6 @@ __all__ = [
     "CountReport",
     "DuplicateGroup",
     "PowerPrefixSums",
-    "PrimeList",
     "Representation",
     "SieveMemoryError",
     "bound_estimate",

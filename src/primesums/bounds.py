@@ -38,6 +38,11 @@ def _check_x(x: int) -> int:
     return x
 
 
+def _check_xk(x: int, k: int) -> None:
+    check_power(k)
+    _check_x(x)
+
+
 def _c(k: int):
     km = mp.mpf(k)
     return km * km / (km - 1) * (km + 1) ** (1 - 1 / km)
@@ -78,28 +83,25 @@ def c_constant(k: int) -> float:
         return float(_c(k))
 
 
+def _evaluated(formula, x: int, k: int) -> float:
+    _check_xk(x, k)
+    with mp.workdps(WORK_DPS):
+        return float(formula(x, k))
+
+
 def upper_bound(x: int, k: int) -> float:
     """c_k * x^(2/(k+1)) / (ln x)^(2k/(k+1))."""
-    check_power(k)
-    _check_x(x)
-    with mp.workdps(WORK_DPS):
-        return float(_upper(x, k))
+    return _evaluated(_upper, x, k)
 
 
 def lower_bound(x: int, k: int) -> float:
     """((k+1)^2 / 2) * x^(2/(k+1)) / (ln x)^(2k/(k+1))."""
-    check_power(k)
-    _check_x(x)
-    with mp.workdps(WORK_DPS):
-        return float(_lower(x, k))
+    return _evaluated(_lower, x, k)
 
 
 def m_estimate(x: int, k: int) -> float:
     """Estimated maximum run length (k+1) * x^(1/(k+1)) / (ln x)^(k/(k+1))."""
-    check_power(k)
-    _check_x(x)
-    with mp.workdps(WORK_DPS):
-        return float(_m_estimate(x, k))
+    return _evaluated(_m_estimate, x, k)
 
 
 def tws_upper_s2(x: int) -> float:
@@ -110,6 +112,7 @@ def tws_upper_s2(x: int) -> float:
 
 
 def _floored(formula, x: int, k: int) -> int:
+    _check_xk(x, k)
     with mp.workdps(WORK_DPS):
         value = formula(x, k)
         if abs(value - mp.nint(value)) < NEAR_INTEGER:
@@ -120,15 +123,11 @@ def _floored(formula, x: int, k: int) -> int:
 
 def floor_upper_bound(x: int, k: int) -> int:
     """floor(upper_bound(x, k)), guarded against flooring through rounding."""
-    check_power(k)
-    _check_x(x)
     return _floored(_upper, x, k)
 
 
 def floor_lower_bound(x: int, k: int) -> int:
     """floor(lower_bound(x, k)), guarded the same way."""
-    check_power(k)
-    _check_x(x)
     return _floored(_lower, x, k)
 
 
@@ -150,8 +149,7 @@ def per_length_bound(
 
 def bound_estimate(x: int, k: int) -> BoundEstimate:
     """Every real-valued bound for (x, k) in one bundle."""
-    check_power(k)
-    _check_x(x)
+    _check_xk(x, k)
     with mp.workdps(WORK_DPS):
         return BoundEstimate(
             x=x,

@@ -9,6 +9,7 @@ exhaustion.
 """
 
 import argparse
+import os
 import sys
 
 from .bounds import bound_estimate, floor_lower_bound, floor_upper_bound
@@ -81,16 +82,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("enumerate", "stream one line per representation: n, start prime")
     p.add_argument("--k", type=_positive_int, required=True, help="exponent")
     p.add_argument("--x", type=parse_x, required=True, help="inclusive bound on n")
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="accepted and ignored; output is identical for any count")
 
     p = add("count", "one summary line: x, k, count, max run length, primes")
     p.add_argument("--k", type=_positive_int, required=True, help="exponent")
     p.add_argument("--x", type=parse_x, required=True, help="inclusive bound on n")
     p.add_argument("--distinct", action="store_true",
                    help="append the distinct-value count (runs the duplicate scan)")
-    p.add_argument("--spill-dir", metavar="PATH", default=None,
-                   help="accepted and ignored; nothing is written to disk")
 
     p = add("table", "decade rows from --from to --to: x, count, upper, lower")
     p.add_argument("--k", type=_positive_int, required=True, help="exponent")
@@ -106,17 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("duplicates", "values with several runs for one exponent, expanded")
     p.add_argument("--k", type=_positive_int, required=True, help="exponent")
     p.add_argument("--x", type=parse_x, required=True, help="inclusive bound on n")
-    p.add_argument("--workers", type=_positive_int, default=1,
-                   help="accepted and ignored; output is identical for any count")
-    p.add_argument("--spill-dir", metavar="PATH", default=None,
-                   help="accepted and ignored; nothing is written to disk")
 
     p = add("cross", "values representable under several exponents, expanded")
     p.add_argument("--ks", type=_parse_ks, required=True,
                    help="comma-separated exponents, e.g. 2,3")
     p.add_argument("--x", type=parse_x, required=True, help="inclusive bound on n")
-    p.add_argument("--spill-dir", metavar="PATH", default=None,
-                   help="accepted and ignored; nothing is written to disk")
 
     return parser
 
@@ -131,11 +122,9 @@ def _header(args: argparse.Namespace, sink, names) -> None:
 
 
 def _run_enumerate(args: argparse.Namespace, sink) -> None:
-    # --workers is accepted and ignored: one sweep writes the same bytes
-    # for any count
     ps = build(args.x, args.k)
     f = ps.f
-    primes = ps.primes.primes
+    primes = ps.primes
     sep = _sep(args)
     _header(args, sink, ("n", "start_prime"))
     for b, t in enumerate(run_ends(ps)):
@@ -197,7 +186,7 @@ def _write_groups(groups, ps_by_k, sink) -> None:
     for group in groups:
         parts = [str(group.n)]
         for member in group.members:
-            parts.append(_expanded_sum(member, ps_by_k[member.k].primes.primes))
+            parts.append(_expanded_sum(member, ps_by_k[member.k].primes))
         sink.write(" = ".join(parts) + "\n")
 
 
@@ -230,12 +219,19 @@ def run(args: argparse.Namespace) -> int:
     command = _COMMANDS.get(args.command)
     if command is None:
         raise UsageError(f"unknown command {args.command!r}")
-    if args.out is not None:
-        with open(args.out, "w", encoding="ascii") as sink:
-            command(args, sink)
-    else:
+    if args.out is None:
         command(args, sys.stdout)
         sys.stdout.flush()
+        return 0
+    # opened before the try: a file that cannot be opened is not removed
+    sink = open(args.out, "w", encoding="ascii")
+    try:
+        with sink:
+            command(args, sink)
+    except BaseException:
+        # a failed or interrupted run leaves no empty or partial file
+        os.unlink(args.out)
+        raise
     return 0
 
 
@@ -247,10 +243,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # downstream closed the pipe (enumerate | head is normal use)
         return 0
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 1
-    except ValueError as err:
+    except ValueError as err:  # UsageError included
         print(f"usage error: {err}", file=sys.stderr)
         return 1
     except (OverflowError, MemoryError, OSError) as err:

@@ -102,7 +102,7 @@ def _slice_repeats(np, tables: dict, size: int, lo, width):
 
 
 def _verified_member(ps: PowerPrefixSums, n: int, b: int, m: int) -> Representation:
-    primes = ps.primes.primes
+    primes = ps.primes
     k = ps.k
     direct = sum(p ** k for p in primes[b : b + m])
     if direct != n:
@@ -155,23 +155,19 @@ def find_duplicates(
     x: int,
     k: int,
     max_in_memory: int = DEFAULT_MAX_IN_MEMORY,
-    spill_dir=None,
     budget_bytes: int = DEFAULT_BUDGET_BYTES,
 ) -> list:
     """All n <= x with at least two runs for this k, ascending by n."""
     ps = build(x, k, budget_bytes)
-    return find_duplicates_from_prefix(ps, max_in_memory, spill_dir)
+    return find_duplicates_from_prefix(ps, max_in_memory)
 
 
 def find_duplicates_from_prefix(
-    ps: PowerPrefixSums,
-    max_in_memory: int = DEFAULT_MAX_IN_MEMORY,
-    spill_dir=None,
+    ps: PowerPrefixSums, max_in_memory: int = DEFAULT_MAX_IN_MEMORY
 ) -> list:
     """Duplicate groups of one prefix array.
 
-    At most about max_in_memory keys (8 bytes each) are sorted at once;
-    spill_dir is accepted and ignored, as nothing is written to disk.
+    At most about max_in_memory keys (8 bytes each) are sorted at once.
     """
     return _duplicate_groups({ps.k: ps}, max_in_memory)
 
@@ -186,21 +182,21 @@ def find_cross_power_duplicates(
     """All n <= x representable under two or more distinct exponents.
 
     Values duplicated only within a single exponent are excluded; those
-    belong to find_duplicates.
+    belong to find_duplicates.  spill_dir is accepted and ignored, as
+    nothing is written to disk; it stays only because the benchmark's
+    cross-capped job (perfbench/child.py) still passes it by keyword.
     """
     ks = sorted(set(k_set))
     if len(ks) < 2:
         raise ValueError(f"cross-power search needs >= 2 distinct exponents, got {ks}")
     ps_by_k = {k: build(x, k, budget_bytes) for k in ks}
-    return find_cross_power_duplicates_from_prefixes(ps_by_k, max_in_memory, spill_dir)
+    return find_cross_power_duplicates_from_prefixes(ps_by_k, max_in_memory)
 
 
 def find_cross_power_duplicates_from_prefixes(
-    ps_by_k: dict,
-    max_in_memory: int = DEFAULT_MAX_IN_MEMORY,
-    spill_dir=None,
+    ps_by_k: dict, max_in_memory: int = DEFAULT_MAX_IN_MEMORY
 ) -> list:
-    """Cross-power groups of several prefix arrays; spill_dir is ignored."""
+    """Cross-power groups of several prefix arrays."""
     ks = sorted(ps_by_k)
     if len(ks) < 2:
         raise ValueError(f"cross-power search needs >= 2 distinct exponents, got {ks}")
@@ -216,11 +212,10 @@ def distinct_count(
     x: int,
     k: int,
     max_in_memory: int = DEFAULT_MAX_IN_MEMORY,
-    spill_dir=None,
     budget_bytes: int = DEFAULT_BUDGET_BYTES,
 ) -> int:
     """Number of distinct representable n <= x (count minus surplus)."""
     ps = build(x, k, budget_bytes)
     total = count_sums(ps).count
-    groups = find_duplicates_from_prefix(ps, max_in_memory, spill_dir)
+    groups = find_duplicates_from_prefix(ps, max_in_memory)
     return total - duplicate_surplus(groups)

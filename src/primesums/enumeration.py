@@ -38,7 +38,7 @@ def enumerate_sums(ps: PowerPrefixSums) -> Iterator[Representation]:
     Closing the generator early is safe.
     """
     f = ps.f
-    primes = ps.primes.primes
+    primes = ps.primes
     k = ps.k
     for b, t in enumerate(run_ends(ps)):
         fb = f[b]

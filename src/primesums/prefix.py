@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .arith import check_uint128, checked_pow, integer_kth_root
-from .sieve import DEFAULT_BUDGET_BYTES, PrimeList, primes_up_to
+from .sieve import DEFAULT_BUDGET_BYTES, primes_up_to
 
 K_MIN = 2
 K_MAX = 64
@@ -33,7 +33,7 @@ class PowerPrefixSums:
 
     x: int
     k: int
-    primes: PrimeList
+    primes: list
     f: list
 
     def __len__(self) -> int:
@@ -44,19 +44,15 @@ class PowerPrefixSums:
         return self.f[t] - self.f[b]
 
 
-def build_from_primes(primes, k: int, x: int) -> PowerPrefixSums:
-    """Prefix sums over an explicit ascending prime sequence.
+def build_from_primes(primes: list, k: int, x: int) -> PowerPrefixSums:
+    """Prefix sums over an explicit ascending list of primes.
 
-    A PrimeList is kept as it is; any other sequence is listed under a
-    limit equal to its last prime.  Only each p^k is range-checked: f
-    itself may pass 2^128, because callers only ever use differences
-    of f that are bounded by x.
+    The list is kept as it is, not copied.  Only each p^k is
+    range-checked: f itself may pass 2^128, because callers only ever
+    use differences of f that are bounded by x.
     """
     check_power(k)
-    if not isinstance(primes, PrimeList):
-        values = list(primes)
-        primes = PrimeList(limit=values[-1] if values else 0, primes=values)
-    f = list(accumulate((checked_pow(p, k) for p in primes.primes), initial=0))
+    f = list(accumulate((checked_pow(p, k) for p in primes), initial=0))
     return PowerPrefixSums(x=x, k=k, primes=primes, f=f)
 
 

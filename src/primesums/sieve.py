@@ -8,30 +8,12 @@ of stalling the machine in the allocator.
 
 import itertools
 import math
-from dataclasses import dataclass
 
 DEFAULT_BUDGET_BYTES = 1 << 31
 
 
 class SieveMemoryError(MemoryError):
     """Sieve allocation would exceed the configured byte budget."""
-
-
-@dataclass(frozen=True)
-class PrimeList:
-    """All primes up to an inclusive limit, in increasing order."""
-
-    limit: int
-    primes: list
-
-    def __len__(self) -> int:
-        return len(self.primes)
-
-    def __iter__(self):
-        return iter(self.primes)
-
-    def __getitem__(self, i: int) -> int:
-        return self.primes[i]
 
 
 def sieve_bytes_needed(limit: int) -> int:
@@ -61,8 +43,8 @@ def _odd_flags(limit: int, budget_bytes: int) -> bytearray:
     return flags
 
 
-def primes_up_to(limit: int, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> PrimeList:
-    """Every prime p <= limit, ascending.
+def primes_up_to(limit: int, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> list:
+    """Every prime p <= limit, as an ascending list.
 
     Raises SieveMemoryError before allocating if the flag array would
     exceed budget_bytes.
@@ -70,10 +52,9 @@ def primes_up_to(limit: int, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> PrimeL
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
     if limit < 2:
-        return PrimeList(limit=limit, primes=[])
+        return []
     flags = _odd_flags(limit, budget_bytes)
-    primes = [2] + [2 * i + 1 for i in itertools.compress(range(len(flags)), flags)]
-    return PrimeList(limit=limit, primes=primes)
+    return [2, *itertools.compress(range(1, 2 * len(flags), 2), flags)]
 
 
 def prime_count(limit: int, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> int:

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from golden import COUNT_TABLES
+from primesums import cli
 from primesums.cli import main, parse_x
 
 
@@ -60,18 +61,6 @@ def test_enumerate_csv_header(capsys):
                         "--format", "csv")
     assert out.splitlines()[0] == "n,start_prime"
     assert out.splitlines()[1] == "4,2"
-
-
-def test_enumerate_workers_byte_identical(tmp_path):
-    paths = []
-    for workers in ("1", "4"):
-        path = tmp_path / f"w{workers}.tsv"
-        code = main(["enumerate", "--k", "2", "--x", "1e5",
-                     "--workers", workers, "--out", str(path)])
-        assert code == 0
-        paths.append(path.read_bytes())
-    assert paths[0] == paths[1]
-    assert paths[0].count(b"\n") == 519
 
 
 def test_table_matches_reference(capsys):
@@ -171,6 +160,42 @@ def test_out_file_unwritable_exits_two(capsys, tmp_path):
                            "--out", str(target))
     assert code == 2
     assert err != ""
+
+
+def test_failed_run_leaves_no_out_file(capsys, tmp_path):
+    target = tmp_path / "out.tsv"
+    for argv in (["count", "--k", "1", "--x", "100"],
+                 ["count", "--k", "2", "--x", "1e40"],
+                 ["table", "--k", "2", "--from", "0", "--to", "1e3"]):
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert code == 1
+        assert out == "" and err.startswith("usage error")
+        assert not target.exists()
+
+
+def test_interrupted_run_leaves_no_partial_out_file(monkeypatch, tmp_path):
+    def interrupted(args, sink):
+        sink.write("4\t2\n")
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._COMMANDS, "enumerate", interrupted)
+    target = tmp_path / "out.tsv"
+    with pytest.raises(KeyboardInterrupt):
+        main(["enumerate", "--k", "2", "--x", "100", "--out", str(target)])
+    assert not target.exists()
+
+
+def test_removed_flags_are_usage_errors(capsys, tmp_path):
+    target = tmp_path / "out.tsv"
+    for argv in (["enumerate", "--k", "2", "--x", "1e5", "--workers", "2"],
+                 ["duplicates", "--k", "2", "--x", "1e5", "--spill-dir", "d"],
+                 ["count", "--k", "2", "--x", "1e5", "--spill-dir", "d"],
+                 ["cross", "--ks", "2,3", "--x", "1e5", "--spill-dir", "d"]):
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments" in err
+        assert not target.exists()
 
 
 def test_module_entry_point():

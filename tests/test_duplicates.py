@@ -43,23 +43,18 @@ def test_members_verify_and_are_distinct():
 
 def test_small_memory_cap_same_results_no_files(tmp_path, monkeypatch):
     # the caps split the searches into 32 and 6 passes
-    spill = tmp_path / "spill"
     temp = tmp_path / "temp"
-    spill.mkdir()
     temp.mkdir()
     monkeypatch.setenv("TMPDIR", str(temp))
     monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
-    capped = dict(max_in_memory=1000, spill_dir=str(spill))
+    capped = dict(max_in_memory=1000)
     in_memory = find_duplicates(10 ** 8, 2)
     assert len(in_memory) == 5
     assert find_duplicates(10 ** 8, 2, **capped) == in_memory
     cross = find_cross_power_duplicates(10 ** 5, {2, 3})
-    capped_cross = find_cross_power_duplicates(
-        10 ** 5, {2, 3}, max_in_memory=100, spill_dir=str(spill)
-    )
+    capped_cross = find_cross_power_duplicates(10 ** 5, {2, 3}, max_in_memory=100)
     assert capped_cross == cross
     assert distinct_count(10 ** 8, 2, **capped) == distinct_count(10 ** 8, 2)
-    assert os.listdir(spill) == []
     assert os.listdir(temp) == []
 
 

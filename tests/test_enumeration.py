@@ -40,7 +40,7 @@ def test_matches_direct_summation_oracle(x, k):
 
 def test_every_representation_verifies():
     ps = build(10 ** 5, 2)
-    primes = ps.primes.primes
+    primes = ps.primes
     for rep in enumerate_sums(ps):
         run = primes[rep.start_index : rep.start_index + rep.length]
         assert rep.n == sum(p ** 2 for p in run)

@@ -11,7 +11,7 @@ from primesums.sieve import SieveMemoryError
 def test_worked_cube_array():
     ps = build(1000, 3)
     assert ps.f == [0, 8, 35, 160, 503]
-    assert ps.primes.primes == [2, 3, 5, 7]
+    assert ps.primes == [2, 3, 5, 7]
     assert ps.x == 1000 and ps.k == 3
 
 
@@ -36,7 +36,7 @@ def test_type_invariants_random():
 
 def test_window_sum_matches_direct_summation():
     ps = build(10 ** 6, 2)
-    primes = ps.primes.primes
+    primes = ps.primes
     rng = random.Random(99)
     for _ in range(50):
         b = rng.randrange(0, len(primes))

@@ -1,5 +1,6 @@
 import pytest
 
+import primesums
 from golden import trial_primes
 from primesums.sieve import (
     SieveMemoryError,
@@ -10,29 +11,35 @@ from primesums.sieve import (
 
 
 def test_small_examples():
-    assert primes_up_to(10).primes == [2, 3, 5, 7]
-    assert primes_up_to(1).primes == []
-    assert primes_up_to(0).primes == []
-    assert primes_up_to(2).primes == [2]
+    assert primes_up_to(10) == [2, 3, 5, 7]
+    assert primes_up_to(1) == []
+    assert primes_up_to(0) == []
+    assert primes_up_to(2) == [2]
     eleven = primes_up_to(31)
     assert len(eleven) == 11
-    assert eleven.primes[-1] == 31
-    assert eleven.limit == 31
+    assert eleven[-1] == 31
+
+
+def test_returns_plain_list():
+    assert primes_up_to(10) == [2, 3, 5, 7]
+    assert type(primes_up_to(10)) is list
+    assert type(primes_up_to(1)) is list
+    assert "PrimeList" not in primesums.__all__
 
 
 @pytest.mark.parametrize("limit", [2, 3, 10, 97, 100, 541, 1000, 7919, 10000])
 def test_matches_trial_division(limit):
-    assert primes_up_to(limit).primes == trial_primes(limit)
+    assert primes_up_to(limit) == trial_primes(limit)
 
 
 def test_matches_trial_division_large():
-    assert primes_up_to(10 ** 5).primes == trial_primes(10 ** 5)
+    assert primes_up_to(10 ** 5) == trial_primes(10 ** 5)
 
 
 def test_prefix_property():
-    big = primes_up_to(10 ** 4).primes
+    big = primes_up_to(10 ** 4)
     for limit in (10, 100, 1234, 9973):
-        small = primes_up_to(limit).primes
+        small = primes_up_to(limit)
         assert big[: len(small)] == small
 
 
