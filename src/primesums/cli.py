@@ -9,7 +9,9 @@ exhaustion.
 """
 
 import argparse
+import contextlib
 import os
+import stat
 import sys
 
 from .bounds import bound_estimate, floor_lower_bound, floor_upper_bound
@@ -225,14 +227,27 @@ def run(args: argparse.Namespace) -> int:
         return 0
     # opened before the try: a file that cannot be opened is not removed
     sink = open(args.out, "w", encoding="ascii")
+    removable = _is_plain_file(args.out, sink)
     try:
         with sink:
             command(args, sink)
     except BaseException:
-        # a failed or interrupted run leaves no empty or partial file
-        os.unlink(args.out)
+        # a failed or interrupted run leaves no empty or partial file; a
+        # symlink, device or pipe (/dev/stdout, /dev/null) is never removed
+        if removable:
+            with contextlib.suppress(OSError):
+                os.unlink(args.out)
         raise
     return 0
+
+
+def _is_plain_file(path: str, sink) -> bool:
+    """True if path names, with no symlink, the regular file sink has open."""
+    try:
+        st = os.lstat(path)
+    except OSError:
+        return False
+    return stat.S_ISREG(st.st_mode) and os.path.samestat(st, os.fstat(sink.fileno()))
 
 
 def main(argv=None) -> int:

@@ -185,6 +185,30 @@ def test_interrupted_run_leaves_no_partial_out_file(monkeypatch, tmp_path):
     assert not target.exists()
 
 
+def test_failed_run_keeps_symlinked_out(capsys, monkeypatch, tmp_path):
+    # only a regular file the run opened is removed, never a link such as
+    # /dev/stdout or what it points at
+    plain = tmp_path / "plain.tsv"
+    plain.write_text("kept\n")
+    for target in ("/dev/null", plain):
+        link = tmp_path / "out.tsv"
+        link.symlink_to(target)
+        code, _, err = run_cli(capsys, "count", "--k", "1", "--x", "100",
+                               "--out", str(link))
+        assert code == 1 and err.startswith("usage error")
+        assert link.is_symlink() and link.resolve().exists()
+        link.unlink()
+
+    def broken_pipe(args, sink):
+        raise BrokenPipeError
+
+    monkeypatch.setitem(cli._COMMANDS, "enumerate", broken_pipe)
+    link = tmp_path / "out.tsv"
+    link.symlink_to("/dev/null")
+    assert main(["enumerate", "--k", "2", "--x", "100", "--out", str(link)]) == 0
+    assert link.is_symlink()
+
+
 def test_removed_flags_are_usage_errors(capsys, tmp_path):
     target = tmp_path / "out.tsv"
     for argv in (["enumerate", "--k", "2", "--x", "1e5", "--workers", "2"],

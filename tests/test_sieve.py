@@ -18,10 +18,6 @@ def test_small_examples():
     eleven = primes_up_to(31)
     assert len(eleven) == 11
     assert eleven[-1] == 31
-
-
-def test_returns_plain_list():
-    assert primes_up_to(10) == [2, 3, 5, 7]
     assert type(primes_up_to(10)) is list
     assert type(primes_up_to(1)) is list
     assert "PrimeList" not in primesums.__all__
