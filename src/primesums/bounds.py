@@ -14,7 +14,7 @@ import mpmath as mp
 
 from .arith import check_uint128, integer_kth_root
 from .prefix import check_power
-from .sieve import DEFAULT_BUDGET_BYTES, prime_count
+from .sieve import prime_count
 
 WORK_DPS = 40
 GUARD_DPS = 120
@@ -131,9 +131,7 @@ def floor_lower_bound(x: int, k: int) -> int:
     return _floored(_lower, x, k)
 
 
-def per_length_bound(
-    x: int, k: int, m: int, budget_bytes: int = DEFAULT_BUDGET_BYTES
-) -> int:
+def per_length_bound(x: int, k: int, m: int) -> int:
     """Exact cap on the number of length-m runs summing to <= x.
 
     A length-m run starting at p has sum >= m * p^k, so p^k <= x/m and
@@ -144,7 +142,7 @@ def per_length_bound(
     check_uint128(x, "x")
     if m < 1:
         raise ValueError(f"run length must be >= 1, got {m}")
-    return prime_count(integer_kth_root(x // m, k), budget_bytes)
+    return prime_count(integer_kth_root(x // m, k))
 
 
 def bound_estimate(x: int, k: int) -> BoundEstimate:

@@ -60,7 +60,7 @@ def _positive_int(text: str) -> int:
 
 def _parse_ks(text: str) -> tuple:
     parts = [piece.strip() for piece in text.split(",")]
-    if not all(piece.isdigit() for piece in parts) or not parts:
+    if not all(piece.isdigit() for piece in parts):
         raise ValueError(f"expected a comma-separated exponent list, got {text!r}")
     return tuple(int(piece) for piece in parts)
 
@@ -251,6 +251,8 @@ def _is_plain_file(path: str, sink) -> bool:
 
 
 def main(argv=None) -> int:
+    # the duplicate kernel never uses the worker threads numpy's OpenBLAS starts
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

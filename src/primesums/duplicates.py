@@ -20,10 +20,9 @@ search for duplicates do not pay for loading it.
 
 from typing import NamedTuple
 
-from .counting import count_sums, run_ends
-from .enumeration import Representation
+from .counting import count_sums
+from .enumeration import Representation, length_histogram
 from .prefix import PowerPrefixSums, build
-from .sieve import DEFAULT_BUDGET_BYTES
 
 DEFAULT_MAX_IN_MEMORY = 50_000_000
 
@@ -44,11 +43,9 @@ def _key_table(np, ps: PowerPrefixSums):
     g = np.fromiter(
         ((v * _SCRAMBLE) & _MASK64 for v in ps.f), dtype=np.uint64, count=len(ps.f)
     )
-    n = len(ps.primes)
-    lengths = np.fromiter(run_ends(ps), dtype=np.int64, count=n) - np.arange(n)
     # runs never lengthen as b grows, so the starts whose run has m or
     # more terms are exactly 0 .. reach[m - 1] - 1
-    reach = (n - np.cumsum(np.bincount(lengths))[:-1]).tolist()
+    reach = list(length_histogram(ps).values())
     return g, reach
 
 
@@ -152,13 +149,10 @@ def _duplicate_groups(ps_by_k: dict, max_in_memory: int) -> list:
 
 
 def find_duplicates(
-    x: int,
-    k: int,
-    max_in_memory: int = DEFAULT_MAX_IN_MEMORY,
-    budget_bytes: int = DEFAULT_BUDGET_BYTES,
+    x: int, k: int, max_in_memory: int = DEFAULT_MAX_IN_MEMORY
 ) -> list:
     """All n <= x with at least two runs for this k, ascending by n."""
-    ps = build(x, k, budget_bytes)
+    ps = build(x, k)
     return find_duplicates_from_prefix(ps, max_in_memory)
 
 
@@ -177,7 +171,6 @@ def find_cross_power_duplicates(
     k_set,
     max_in_memory: int = DEFAULT_MAX_IN_MEMORY,
     spill_dir=None,
-    budget_bytes: int = DEFAULT_BUDGET_BYTES,
 ) -> list:
     """All n <= x representable under two or more distinct exponents.
 
@@ -189,7 +182,7 @@ def find_cross_power_duplicates(
     ks = sorted(set(k_set))
     if len(ks) < 2:
         raise ValueError(f"cross-power search needs >= 2 distinct exponents, got {ks}")
-    ps_by_k = {k: build(x, k, budget_bytes) for k in ks}
+    ps_by_k = {k: build(x, k) for k in ks}
     return find_cross_power_duplicates_from_prefixes(ps_by_k, max_in_memory)
 
 
@@ -209,13 +202,10 @@ def duplicate_surplus(groups: list) -> int:
 
 
 def distinct_count(
-    x: int,
-    k: int,
-    max_in_memory: int = DEFAULT_MAX_IN_MEMORY,
-    budget_bytes: int = DEFAULT_BUDGET_BYTES,
+    x: int, k: int, max_in_memory: int = DEFAULT_MAX_IN_MEMORY
 ) -> int:
     """Number of distinct representable n <= x (count minus surplus)."""
-    ps = build(x, k, budget_bytes)
+    ps = build(x, k)
     total = count_sums(ps).count
     groups = find_duplicates_from_prefix(ps, max_in_memory)
     return total - duplicate_surplus(groups)

@@ -14,7 +14,6 @@ from typing import Iterator, NamedTuple
 from .arith import UINT128_MAX
 from .counting import max_run_length, run_ends
 from .prefix import PowerPrefixSums, build
-from .sieve import DEFAULT_BUDGET_BYTES
 
 
 class Representation(NamedTuple):
@@ -65,9 +64,7 @@ def length_histogram(ps: PowerPrefixSums) -> dict:
     return hist
 
 
-def smallest_elements(
-    k: int, count: int, budget_bytes: int = DEFAULT_BUDGET_BYTES
-) -> list:
+def smallest_elements(k: int, count: int) -> list:
     """The count smallest distinct representable values, ascending.
 
     Multiplies the search bound by 16 until enough distinct values are
@@ -81,7 +78,7 @@ def smallest_elements(
     x = 1 << (k + 4)
     while True:
         x = min(x, UINT128_MAX)
-        ps = build(x, k, budget_bytes)
+        ps = build(x, k)
         seen = {rep.n for rep in enumerate_sums(ps)}
         if len(seen) >= count:
             return sorted(seen)[:count]

@@ -8,10 +8,10 @@ differences.
 """
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 
-from .arith import check_uint128, checked_pow, integer_kth_root
-from .sieve import DEFAULT_BUDGET_BYTES, primes_up_to
+from .arith import check_uint64, check_uint128, checked_pow, integer_kth_root
+from .sieve import primes_up_to
 
 K_MIN = 2
 K_MAX = 64
@@ -47,16 +47,19 @@ class PowerPrefixSums:
 def build_from_primes(primes: list, k: int, x: int) -> PowerPrefixSums:
     """Prefix sums over an explicit ascending list of primes.
 
-    The list is kept as it is, not copied.  Only each p^k is
-    range-checked: f itself may pass 2^128, because callers only ever
-    use differences of f that are bounded by x.
+    The list is kept as it is, not copied.  The smallest p and the
+    largest p^k range-check the whole list; f itself may pass 2^128,
+    because callers only ever use differences of f bounded by x.
     """
     check_power(k)
-    f = list(accumulate((checked_pow(p, k) for p in primes), initial=0))
+    if primes:
+        check_uint64(min(primes), "base")
+        checked_pow(max(primes), k)
+    f = list(accumulate(map(pow, primes, repeat(k)), initial=0))
     return PowerPrefixSums(x=x, k=k, primes=primes, f=f)
 
 
-def build(x: int, k: int, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> PowerPrefixSums:
+def build(x: int, k: int) -> PowerPrefixSums:
     """Prefix sums covering every prime whose k-th power is <= x.
 
     Only primes p <= floor(x^(1/k)) can appear in a sum bounded by x, so
@@ -65,4 +68,4 @@ def build(x: int, k: int, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> PowerPref
     check_power(k)
     check_uint128(x, "x")
     root = integer_kth_root(x, k)
-    return build_from_primes(primes_up_to(root, budget_bytes), k, x)
+    return build_from_primes(primes_up_to(root), k, x)

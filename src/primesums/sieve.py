@@ -1,19 +1,20 @@
 """Prime generation via an odds-only sieve of Eratosthenes.
 
 The sieve stores one byte per odd number and clears composites with
-slice assignment, which runs at C speed.  A memory guard estimates the
-allocation up front so that an oversized request fails cleanly instead
-of stalling the machine in the allocator.
+slice assignment, which runs at C speed.  A request for more than
+BUDGET_BYTES (2 GiB, a fixed limit) of flags raises SieveMemoryError
+before anything is allocated, instead of stalling the machine in the
+allocator.
 """
 
 import itertools
 import math
 
-DEFAULT_BUDGET_BYTES = 1 << 31
+BUDGET_BYTES = 1 << 31
 
 
 class SieveMemoryError(MemoryError):
-    """Sieve allocation would exceed the configured byte budget."""
+    """Sieve allocation would exceed BUDGET_BYTES."""
 
 
 def sieve_bytes_needed(limit: int) -> int:
@@ -23,12 +24,12 @@ def sieve_bytes_needed(limit: int) -> int:
     return (limit + 1) // 2
 
 
-def _odd_flags(limit: int, budget_bytes: int) -> bytearray:
+def _odd_flags(limit: int) -> bytearray:
     # flags[i] covers the odd number 2*i + 1
     needed = sieve_bytes_needed(limit)
-    if needed > budget_bytes:
+    if needed > BUDGET_BYTES:
         raise SieveMemoryError(
-            f"sieve to {limit} needs {needed} bytes, budget is {budget_bytes}"
+            f"sieve to {limit} needs {needed} bytes, budget is {BUDGET_BYTES}"
         )
     size = needed
     flags = bytearray(b"\x01") * size
@@ -43,24 +44,24 @@ def _odd_flags(limit: int, budget_bytes: int) -> bytearray:
     return flags
 
 
-def primes_up_to(limit: int, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> list:
+def primes_up_to(limit: int) -> list:
     """Every prime p <= limit, as an ascending list.
 
     Raises SieveMemoryError before allocating if the flag array would
-    exceed budget_bytes.
+    exceed BUDGET_BYTES.
     """
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
     if limit < 2:
         return []
-    flags = _odd_flags(limit, budget_bytes)
+    flags = _odd_flags(limit)
     return [2, *itertools.compress(range(1, 2 * len(flags), 2), flags)]
 
 
-def prime_count(limit: int, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> int:
+def prime_count(limit: int) -> int:
     """pi(limit): the number of primes <= limit."""
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
     if limit < 2:
         return 0
-    return 1 + sum(_odd_flags(limit, budget_bytes))
+    return 1 + sum(_odd_flags(limit))

@@ -62,7 +62,18 @@ def test_domain_errors():
 
 def test_build_respects_sieve_budget():
     with pytest.raises(SieveMemoryError):
-        build(10 ** 30, 2, budget_bytes=10 ** 6)
+        build(10 ** 30, 2)
+
+
+def test_build_from_primes_range_errors():
+    # one check of the smallest p and the largest p^k covers the list
+    with pytest.raises(ValueError):
+        build_from_primes([-3, 2, 3], 2, 100)
+    with pytest.raises(ValueError):
+        build_from_primes([2, 3, 2 ** 64], 2, 100)
+    with pytest.raises(OverflowError):
+        build_from_primes([3, 2 ** 63], 3, 2 ** 128 - 1)
+    assert build_from_primes([], 2, 100).f == [0]
 
 
 def test_prefix_past_128_bits_still_counts():

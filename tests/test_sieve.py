@@ -54,11 +54,18 @@ def test_prime_count_agrees_with_list():
 def test_memory_budget_guard():
     needed = sieve_bytes_needed(10 ** 9)
     assert needed == (10 ** 9 + 1) // 2
+    # every limit here is over the fixed 2 GiB budget: one at or under
+    # it would really allocate the flags
     with pytest.raises(SieveMemoryError) as info:
-        primes_up_to(10 ** 9, budget_bytes=10 ** 6)
-    assert str(10 ** 9) in str(info.value)
+        primes_up_to(10 ** 13)
+    assert str(10 ** 13) in str(info.value)
+    assert "budget is 2147483648" in str(info.value)
     with pytest.raises(SieveMemoryError):
-        prime_count(10 ** 9, budget_bytes=10 ** 6)
+        prime_count(10 ** 13)
+    # one byte over the budget
+    assert sieve_bytes_needed(2 ** 32 + 1) == 2 ** 31 + 1
+    with pytest.raises(SieveMemoryError):
+        primes_up_to(2 ** 32 + 1)
     # the guard is MemoryError, so resource handling catches it
     assert issubclass(SieveMemoryError, MemoryError)
 
