@@ -2,15 +2,15 @@
 
 All formulas use the natural logarithm; that is the base under which
 the floored main terms reproduce the reference count tables digit for
-digit.  Evaluation runs in mpmath at 40 significant digits so that a
-128-bit x loses nothing on conversion, and any value within 1e-9 of an
+digit.  Evaluation runs in the standard library's decimal module, whose
+ln and exp are correctly rounded, at 40 significant digits so that a
+128-bit x loses nothing on conversion; any value within 1e-9 of an
 integer is re-evaluated at 120 digits before flooring, so a floor never
 lands on the wrong side through rounding.
 """
 
+from decimal import ROUND_FLOOR, Context, Decimal, localcontext
 from typing import NamedTuple, Optional
-
-import mpmath as mp
 
 from .arith import check_uint128, integer_kth_root
 from .prefix import check_power
@@ -43,49 +43,47 @@ def _check_xk(x: int, k: int) -> None:
     _check_x(x)
 
 
-def _c(k: int):
-    km = mp.mpf(k)
-    return km * km / (km - 1) * (km + 1) ** (1 - 1 / km)
+def _digits(prec: int):
+    # a fresh context: the caller's decimal settings never leak in
+    return localcontext(Context(prec=prec))
 
 
-def _main_term(x: int, k: int):
-    # x^(2/(k+1)) / (ln x)^(2k/(k+1)), exponents kept as exact mpf ratios
-    xm = mp.mpf(x)
-    return xm ** (mp.mpf(2) / (k + 1)) / mp.log(xm) ** (mp.mpf(2 * k) / (k + 1))
+def _power_ratio(scale: Decimal, x: int, a: int, b: int, d: int) -> Decimal:
+    """scale * x^(a/d) / (ln x)^(b/d), as scale * exp((a ln x - b ln ln x) / d)."""
+    log_x = Decimal(x).ln()
+    return scale * ((a * log_x - b * log_x.ln()) / d).exp()
 
 
-def _upper(x: int, k: int):
-    return _c(k) * _main_term(x, k)
+def _c(k: int) -> Decimal:
+    return Decimal(k * k) / (k - 1) * ((1 - Decimal(1) / k) * Decimal(k + 1).ln()).exp()
 
 
-def _lower(x: int, k: int):
-    return mp.mpf(k + 1) ** 2 / 2 * _main_term(x, k)
+def _upper(x: int, k: int) -> Decimal:
+    return _power_ratio(_c(k), x, 2, 2 * k, k + 1)
 
 
-def _m_estimate(x: int, k: int):
-    xm = mp.mpf(x)
-    return (
-        (k + 1)
-        * xm ** (mp.mpf(1) / (k + 1))
-        / mp.log(xm) ** (mp.mpf(k) / (k + 1))
-    )
+def _lower(x: int, k: int) -> Decimal:
+    return _power_ratio(Decimal((k + 1) ** 2) / 2, x, 2, 2 * k, k + 1)
 
 
-def _tws(x: int):
-    xm = mp.mpf(x)
-    return mp.mpf("28.4201") * xm ** (mp.mpf(2) / 3) / mp.log(xm) ** (mp.mpf(4) / 3)
+def _m_estimate(x: int, k: int) -> Decimal:
+    return _power_ratio(Decimal(k + 1), x, 1, k, k + 1)
+
+
+def _tws(x: int) -> Decimal:
+    return _power_ratio(Decimal("28.4201"), x, 2, 4, 3)
 
 
 def c_constant(k: int) -> float:
     """(k^2/(k-1)) * (k+1)^(1 - 1/k); the pole at k = 1 is rejected."""
     check_power(k)
-    with mp.workdps(WORK_DPS):
+    with _digits(WORK_DPS):
         return float(_c(k))
 
 
 def _evaluated(formula, x: int, k: int) -> float:
     _check_xk(x, k)
-    with mp.workdps(WORK_DPS):
+    with _digits(WORK_DPS):
         return float(formula(x, k))
 
 
@@ -107,18 +105,18 @@ def m_estimate(x: int, k: int) -> float:
 def tws_upper_s2(x: int) -> float:
     """Explicit bound 28.4201 * x^(2/3) / (ln x)^(4/3) for square sums."""
     _check_x(x)
-    with mp.workdps(WORK_DPS):
+    with _digits(WORK_DPS):
         return float(_tws(x))
 
 
 def _floored(formula, x: int, k: int) -> int:
     _check_xk(x, k)
-    with mp.workdps(WORK_DPS):
+    with _digits(WORK_DPS):
         value = formula(x, k)
-        if abs(value - mp.nint(value)) < NEAR_INTEGER:
-            with mp.workdps(GUARD_DPS):
+        if abs(value - value.to_integral_value()) < NEAR_INTEGER:
+            with _digits(GUARD_DPS):
                 value = formula(x, k)
-        return int(mp.floor(value))
+        return int(value.to_integral_value(rounding=ROUND_FLOOR))
 
 
 def floor_upper_bound(x: int, k: int) -> int:
@@ -148,7 +146,7 @@ def per_length_bound(x: int, k: int, m: int) -> int:
 def bound_estimate(x: int, k: int) -> BoundEstimate:
     """Every real-valued bound for (x, k) in one bundle."""
     _check_xk(x, k)
-    with mp.workdps(WORK_DPS):
+    with _digits(WORK_DPS):
         return BoundEstimate(
             x=x,
             k=k,

@@ -73,10 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add(name, help_text):
+    def add(name, help_text, tabular=True):
+        # duplicates and cross print expanded sums, which have no columns
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--format", choices=("tsv", "csv"), default="tsv",
-                       help="tsv (no header) or csv (header row)")
+        if tabular:
+            p.add_argument("--format", choices=("tsv", "csv"), default="tsv",
+                           help="tsv (no header) or csv (header row)")
         p.add_argument("--out", metavar="PATH", default=None,
                        help="write output to PATH instead of stdout")
         return p
@@ -102,11 +104,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_positive_int, required=True, help="exponent")
     p.add_argument("--x", type=parse_x, required=True, help="evaluation point")
 
-    p = add("duplicates", "values with several runs for one exponent, expanded")
+    p = add("duplicates", "values with several runs for one exponent, expanded",
+            tabular=False)
     p.add_argument("--k", type=_positive_int, required=True, help="exponent")
     p.add_argument("--x", type=parse_x, required=True, help="inclusive bound on n")
 
-    p = add("cross", "values representable under several exponents, expanded")
+    p = add("cross", "values representable under several exponents, expanded",
+            tabular=False)
     p.add_argument("--ks", type=_parse_ks, required=True,
                    help="comma-separated exponents, e.g. 2,3")
     p.add_argument("--x", type=parse_x, required=True, help="inclusive bound on n")

@@ -36,13 +36,6 @@ class PowerPrefixSums:
     primes: list
     f: list
 
-    def __len__(self) -> int:
-        return len(self.primes)
-
-    def window_sum(self, b: int, t: int) -> int:
-        """Sum of k-th powers of primes b+1 .. t (0-based indices into f)."""
-        return self.f[t] - self.f[b]
-
 
 def build_from_primes(primes: list, k: int, x: int) -> PowerPrefixSums:
     """Prefix sums over an explicit ascending list of primes.

@@ -10,6 +10,7 @@ from golden import (
     TWS_OVER_UPPER_K2,
     UPPER_1E6_K2,
 )
+from primesums import bounds
 from primesums.bounds import (
     bound_estimate,
     c_constant,
@@ -53,6 +54,27 @@ def test_floor_examples():
     assert floor_lower_bound(10 ** 38, 20) == 183
     assert floor_upper_bound(10 ** 15, 2) == 615948906
     assert floor_lower_bound(10 ** 15, 2) == 400070550
+
+
+def test_guard_precision_keeps_every_table_floor(monkeypatch):
+    # no table cell lies within 1e-9 of an integer, so widen the guard
+    # until every floor takes the 120-digit re-evaluation
+    monkeypatch.setattr(bounds, "NEAR_INTEGER", 1)
+    precisions = []
+    digits = bounds._digits
+
+    def recorded(prec):
+        precisions.append(prec)
+        return digits(prec)
+
+    monkeypatch.setattr(bounds, "_digits", recorded)
+    cells = 0
+    for k, rows in COUNT_TABLES.items():
+        for x, _, up, lo in rows:
+            assert floor_upper_bound(x, k) == up
+            assert floor_lower_bound(x, k) == lo
+            cells += 2
+    assert precisions.count(bounds.GUARD_DPS) == cells == 214
 
 
 def test_sampled_table_cells():

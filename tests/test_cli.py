@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from golden import COUNT_TABLES
+from golden import BOUNDS_CSV_HEADER, BOUNDS_CSV_ROWS, COUNT_TABLES
 from primesums import cli
 from primesums.cli import main, parse_x
 
@@ -113,6 +113,16 @@ def test_bounds_output(capsys):
     assert "tws_upper" not in out
 
 
+def test_bounds_csv_bytes_exact(capsys):
+    # every printed digit is pinned: a float off in its last bit fails here
+    for row in BOUNDS_CSV_ROWS:
+        x, k = row.split(",")[:2]
+        header = BOUNDS_CSV_HEADER + (",tws_upper" if k == "2" else "")
+        code, out, _ = run_cli(capsys, "bounds", "--k", k, "--x", x, "--format", "csv")
+        assert code == 0
+        assert out == f"{header}\n{row}\n"
+
+
 def test_duplicates_expanded_sums(capsys):
     code, out, _ = run_cli(capsys, "duplicates", "--k", "2", "--x", "2e7")
     assert code == 0
@@ -214,7 +224,10 @@ def test_removed_flags_are_usage_errors(capsys, tmp_path):
     for argv in (["enumerate", "--k", "2", "--x", "1e5", "--workers", "2"],
                  ["duplicates", "--k", "2", "--x", "1e5", "--spill-dir", "d"],
                  ["count", "--k", "2", "--x", "1e5", "--spill-dir", "d"],
-                 ["cross", "--ks", "2,3", "--x", "1e5", "--spill-dir", "d"]):
+                 ["cross", "--ks", "2,3", "--x", "1e5", "--spill-dir", "d"],
+                 # expanded sums have no columns, so --format is tabular-only
+                 ["duplicates", "--k", "2", "--x", "1e5", "--format", "csv"],
+                 ["cross", "--ks", "2,3", "--x", "1e5", "--format", "tsv"]):
         code, out, err = run_cli(capsys, *argv, "--out", str(target))
         assert code == 1
         assert out == ""
@@ -232,13 +245,38 @@ def test_module_entry_point():
     assert proc.stdout == "1000\t3\t10\t4\t4\n"
 
 
+# prepended to each snippet: in that interpreter, importing anything outside
+# the standard library and primesums raises
+STDLIB_ONLY = """
+import sys
+
+class StdlibOnly:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] not in sys.stdlib_module_names | {"primesums"}:
+            raise ImportError(f"{name} is outside the standard library")
+
+sys.meta_path.insert(0, StdlibOnly())
+"""
+
+
+def run_stdlib_only(code):
+    return subprocess.run([sys.executable, "-c", STDLIB_ONLY + code],
+                          capture_output=True, text=True)
+
+
 @pytest.mark.parametrize("code", [
     "import primesums",
     "from primesums.cli import main; main(['table', '--k', '3', '--from', '1e3', '--to', '1e6'])",
-])
-def test_numpy_loaded_only_by_duplicate_search(code):
-    # a numpy import costs every enumerate and table process 0.1-0.2 s
-    check = f"import sys; {code}; print('numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert proc.stdout.splitlines()[-1] == "False"
+    "from primesums.cli import main; main(['bounds', '--k', '2', '--x', '1e15'])",
+], ids=["import", "table", "bounds"])
+def test_only_stdlib_imported_outside_duplicate_search(code):
+    # numpy costs every enumerate and table process 0.1-0.2 s, and the
+    # bound formulas need nothing beyond the standard library's decimal
+    proc = run_stdlib_only(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_stdlib_only_guard_blocks_numpy():
+    proc = run_stdlib_only("from primesums import find_duplicates; find_duplicates(100, 2)")
+    assert proc.returncode != 0
+    assert "numpy is outside the standard library" in proc.stderr

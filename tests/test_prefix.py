@@ -34,16 +34,6 @@ def test_type_invariants_random():
             assert ps.f[i + 1] - ps.f[i] == p ** k
 
 
-def test_window_sum_matches_direct_summation():
-    ps = build(10 ** 6, 2)
-    primes = ps.primes
-    rng = random.Random(99)
-    for _ in range(50):
-        b = rng.randrange(0, len(primes))
-        t = rng.randrange(b, len(primes) + 1)
-        assert ps.window_sum(b, t) == sum(p ** 2 for p in primes[b:t])
-
-
 def test_deterministic_rebuild():
     assert build(54321, 3) == build(54321, 3)
 
