@@ -2,8 +2,8 @@
 
 Tools to enumerate every integer n <= x of the form
 p_{b+1}^k + p_{b+2}^k + ... + p_t^k over consecutive primes, count the
-representations in linear time via prefix sums and a two-pointer sweep,
-evaluate closed-form upper and lower bound formulas, and hunt for
+representations in linear time with a window swept over a stream of
+primes, evaluate closed-form upper and lower bound formulas, and hunt for
 integers with several representations, within one exponent or across
 different exponents.
 """
@@ -21,7 +21,7 @@ from .bounds import (
     tws_upper_s2,
     upper_bound,
 )
-from .counting import CountReport, count_sums, max_run_length
+from .counting import CountReport, count_sums, count_up_to, max_run_length
 from .duplicates import (
     DuplicateGroup,
     distinct_count,
@@ -55,6 +55,7 @@ __all__ = [
     "c_constant",
     "checked_pow",
     "count_sums",
+    "count_up_to",
     "distinct_count",
     "duplicate_surplus",
     "enumerate_sums",

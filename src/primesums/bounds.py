@@ -9,7 +9,8 @@ integer is re-evaluated at 120 digits before flooring, so a floor never
 lands on the wrong side through rounding.
 """
 
-from decimal import ROUND_FLOOR, Context, Decimal, localcontext
+from decimal import ROUND_FLOOR, Context, Decimal, getcontext, localcontext
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .arith import check_uint128, integer_kth_root
@@ -55,7 +56,15 @@ def _power_ratio(scale: Decimal, x: int, a: int, b: int, d: int) -> Decimal:
 
 
 def _c(k: int) -> Decimal:
-    return Decimal(k * k) / (k - 1) * ((1 - Decimal(1) / k) * Decimal(k + 1).ln()).exp()
+    return _c_at(k, getcontext().prec)
+
+
+@lru_cache(maxsize=None)
+def _c_at(k: int, prec: int) -> Decimal:
+    # keyed on the precision too: the guard digits must not reuse a
+    # value rounded to the working digits
+    with localcontext(Context(prec=prec)):
+        return Decimal(k * k) / (k - 1) * ((1 - Decimal(1) / k) * Decimal(k + 1).ln()).exp()
 
 
 def _upper(x: int, k: int) -> Decimal:

@@ -15,7 +15,7 @@ import stat
 import sys
 
 from .bounds import bound_estimate, floor_lower_bound, floor_upper_bound
-from .counting import count_sums, run_ends
+from .counting import count_sums, count_up_to, run_lengths_of
 from .duplicates import (
     duplicate_surplus,
     find_cross_power_duplicates_from_prefixes,
@@ -133,22 +133,25 @@ def _run_enumerate(args: argparse.Namespace, sink) -> None:
     primes = ps.primes
     sep = _sep(args)
     _header(args, sink, ("n", "start_prime"))
-    for b, t in enumerate(run_ends(ps)):
+    for b, run in enumerate(run_lengths_of(ps)):
         # one write per start: every run from b shares its start prime
         fb = f[b]
         tail = f"{sep}{primes[b]}\n"
-        sink.write(tail.join([str(ft - fb) for ft in f[b + 1 : t + 1]]) + tail)
+        sink.write(tail.join([str(ft - fb) for ft in f[b + 1 : b + run + 1]]) + tail)
 
 
 def _run_count(args: argparse.Namespace, sink) -> None:
-    ps = build(args.x, args.k)
-    report = count_sums(ps)
-    names = list(report._fields)
-    values = list(report)
     if args.distinct:
-        groups = find_duplicates_from_prefix(ps)
-        names.append("distinct")
-        values.append(report.count - duplicate_surplus(groups))
+        # the duplicate scan needs the prefix array, so count on it too
+        ps = build(args.x, args.k)
+        report = count_sums(ps)
+        distinct = report.count - duplicate_surplus(find_duplicates_from_prefix(ps))
+        names = [*report._fields, "distinct"]
+        values = [*report, distinct]
+    else:
+        report = count_up_to(args.x, args.k)
+        names = list(report._fields)
+        values = list(report)
     sep = _sep(args)
     _header(args, sink, names)
     sink.write(sep.join(str(v) for v in values) + "\n")
@@ -163,7 +166,7 @@ def _run_table(args: argparse.Namespace, sink) -> None:
     _header(args, sink, ("x", "count", "upper", "lower"))
     x = args.from_x
     while x <= args.to_x:
-        report = count_sums(build(x, args.k))
+        report = count_up_to(x, args.k)
         upper = floor_upper_bound(x, args.k)
         row = (x, report.count, upper, floor_lower_bound(x, args.k))
         sink.write(sep.join(str(v) for v in row) + "\n")
@@ -267,7 +270,11 @@ def main(argv=None) -> int:
     except ValueError as err:  # UsageError included
         print(f"usage error: {err}", file=sys.stderr)
         return 1
-    except (OverflowError, MemoryError, OSError) as err:
+    except MemoryError as err:
+        # a bare MemoryError() has no text of its own
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
+        return 2
+    except (OverflowError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -1,19 +1,26 @@
 """Counting runs of consecutive prime powers without enumerating them.
 
-The count (with multiplicity) is the number of pairs b < t with
-f[t] - f[b] <= x.  Because f is strictly increasing, the admissible
-ends for each start b form a contiguous range b+1 .. T(b), and T(b)
-never decreases as b grows.  run_ends sweeps one pointer across the
-array once to produce every T(b), so the whole count costs O(pi) after
-the prefix array exists; enumeration, the length histogram and the
+The count (with multiplicity) is the sum, over every start b, of the
+length of the longest run p_{b+1}^k + ... + p_{b+m}^k that stays <= x.
+Because the powers are positive, the end of that run never moves back
+as b grows, so run_lengths sweeps a window once across an ascending
+stream of powers: it adds each new power, and while the window sum
+exceeds x the first start's run is complete.  The sweep holds only the
+current window, so count_up_to needs no prime list and no prefix array:
+the sieve's stream of primes feeds it directly, and the count costs
+O(pi(x^(1/k))) time in O(sqrt(x^(1/k))) memory plus the longest run.
+Counting a prefix array, the length histogram, enumeration and the
 duplicate search consume the same sweep.
 """
 
 from bisect import bisect_right
-from itertools import islice
-from typing import Iterator, NamedTuple
+from collections import Counter, deque
+from itertools import repeat
+from typing import Iterable, Iterator, NamedTuple
 
-from .prefix import PowerPrefixSums
+from .arith import check_uint128, integer_kth_root
+from .prefix import PowerPrefixSums, check_power
+from .sieve import iter_primes
 
 
 class CountReport(NamedTuple):
@@ -29,31 +36,54 @@ def max_run_length(ps: PowerPrefixSums) -> int:
     return bisect_right(ps.f, ps.x) - 1
 
 
-def run_ends(ps: PowerPrefixSums) -> Iterator[int]:
-    """For each start b in order, the largest end T(b) with f[T(b)] - f[b] <= x.
+def run_lengths(powers: Iterable[int], x: int) -> Iterator[int]:
+    """For each start in order, the most consecutive powers from it summing to <= x.
 
-    T(b) >= b always holds: while the pointer lags behind b, f[t + 1]
-    <= f[b] is within the cap, so it catches up on its own.
+    powers is any ascending iterable of positive p^k; it is read lazily,
+    one power past the first start's run before that run is yielded.
+    A power above x on its own gives its start a run of length 0.
     """
-    f = ps.f
-    x = ps.x
-    last = len(f) - 1
-    t = 0
-    for fb in islice(f, last):
-        cap = x + fb
-        while t < last and f[t + 1] <= cap:
-            t += 1
-        yield t
+    window = deque()
+    total = 0
+    for power in powers:
+        window.append(power)
+        total += power
+        while total > x:
+            # the window before this power was the first start's run
+            yield len(window) - 1
+            total -= window.popleft()
+    # every remaining start runs to the end of the stream
+    yield from range(len(window), 0, -1)
+
+
+def run_lengths_of(ps: PowerPrefixSums) -> Iterator[int]:
+    """run_lengths over the k-th powers of the primes of ps."""
+    return run_lengths(map(pow, ps.primes, repeat(ps.k)), ps.x)
+
+
+def _report(x: int, k: int, runs: Counter) -> CountReport:
+    """The CountReport of a Counter mapping run length to its number of starts."""
+    return CountReport(
+        x=x,
+        k=k,
+        count=sum(m * starts for m, starts in runs.items()),
+        # ascending powers: the first start has the longest run
+        max_run_length=max(runs, default=0),
+        prime_count=sum(runs.values()),
+    )
 
 
 def count_sums(ps: PowerPrefixSums) -> CountReport:
-    n_primes = len(ps.primes)
-    # the sum of T(b) - b over every start b
-    total = sum(run_ends(ps)) - n_primes * (n_primes - 1) // 2
-    return CountReport(
-        x=ps.x,
-        k=ps.k,
-        count=total,
-        max_run_length=max_run_length(ps),
-        prime_count=n_primes,
-    )
+    return _report(ps.x, ps.k, Counter(run_lengths_of(ps)))
+
+
+def count_up_to(x: int, k: int) -> CountReport:
+    """count_sums(build(x, k)) from a stream of primes, without the prefix array.
+
+    Holds the sieve's base primes up to sqrt(x^(1/k)), one sieve segment
+    and the current window.
+    """
+    check_power(k)
+    check_uint128(x, "x")
+    powers = map(pow, iter_primes(integer_kth_root(x, k)), repeat(k))
+    return _report(x, k, Counter(run_lengths(powers, x)))

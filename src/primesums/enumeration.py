@@ -2,17 +2,17 @@
 
 Every n <= x of the form p_{b+1}^k + ... + p_t^k is emitted exactly
 once per witness (b, t), ordered by start index and then length: the
-outer loop walks b, and the counting sweep supplies the last end of
-each start's run.  The stream is a generator, so a billion
-representations never need to sit in memory at once.
+outer loop walks b, and the counting sweep supplies the length of each
+start's run, which slices the prefix array.  The stream is a
+generator, so a billion representations never need to sit in memory
+at once.
 """
 
 from collections import Counter
-from operator import sub
 from typing import Iterator, NamedTuple
 
 from .arith import UINT128_MAX
-from .counting import max_run_length, run_ends
+from .counting import run_lengths_of
 from .prefix import PowerPrefixSums, build
 
 
@@ -39,26 +39,26 @@ def enumerate_sums(ps: PowerPrefixSums) -> Iterator[Representation]:
     f = ps.f
     primes = ps.primes
     k = ps.k
-    for b, t in enumerate(run_ends(ps)):
+    for b, run in enumerate(run_lengths_of(ps)):
         fb = f[b]
         p = primes[b]
-        for m, ft in enumerate(f[b + 1 : t + 1], 1):
+        for m, ft in enumerate(f[b + 1 : b + run + 1], 1):
             yield Representation(ft - fb, k, b, m, p)
 
 
 def length_histogram(ps: PowerPrefixSums) -> dict:
     """Map run length m to the number of representations of that length.
 
-    Only lengths with a nonzero count appear.  A start b with largest
-    valid end T(b) contributes one representation of every length
-    1..T(b)-b, so the count for m is the number of starts whose run is
-    at least m long.  Runs shorten as b grows, so every length up to
-    the first start's run occurs.
+    Only lengths with a nonzero count appear.  A start whose run has r
+    terms contributes one representation of every length 1..r, so the
+    count for m is the number of starts whose run is at least m long.
+    Runs shorten as b grows, so every length up to the first start's
+    run occurs.
     """
-    runs = Counter(map(sub, run_ends(ps), range(len(ps.primes))))
+    runs = Counter(run_lengths_of(ps))
     hist = {}
-    acc = len(ps.primes) - runs[0]  # starts with a run of length >= 1
-    for m in range(1, max_run_length(ps) + 1):
+    acc = sum(runs.values()) - runs[0]  # starts with a run of length >= 1
+    for m in range(1, max(runs, default=0) + 1):
         hist[m] = acc
         acc -= runs[m]
     return hist

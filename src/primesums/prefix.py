@@ -2,9 +2,9 @@
 
 With primes p_1 < p_2 < ... the array f satisfies f[0] = 0 and
 f[i] = p_1^k + ... + p_i^k, so every sum of consecutive prime powers
-p_{b+1}^k + ... + p_t^k is the difference f[t] - f[b].  Everything
-downstream (enumeration, counting, duplicate detection) works on those
-differences.
+p_{b+1}^k + ... + p_t^k is the difference f[t] - f[b].  Enumeration
+and duplicate detection work on those differences; counting needs only
+the stream of powers (counting.count_up_to).
 """
 
 from dataclasses import dataclass

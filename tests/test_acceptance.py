@@ -23,7 +23,7 @@ from golden import (
 )
 from primesums.arith import UINT128_MAX, checked_pow, integer_kth_root
 from primesums.bounds import floor_lower_bound, floor_upper_bound, c_constant, per_length_bound
-from primesums.counting import count_sums
+from primesums.counting import count_sums, count_up_to
 from primesums.duplicates import find_cross_power_duplicates, find_duplicates
 from primesums.enumeration import enumerate_sums, length_histogram, smallest_elements
 from primesums.prefix import build
@@ -54,10 +54,15 @@ def test_01_worked_cube_example():
 
 
 def test_02_count_tables_exact():
+    # every row through the streamed count that table and count print;
+    # test_03 checks the prefix-array count on the largest square rows
     with stopwatch(60.0):
+        checked = 0
         for k, rows in COUNT_TABLES.items():
             for x, expected, _, _ in rows:
-                assert count_sums(build(x, k)).count == expected, (x, k)
+                assert count_up_to(x, k).count == expected, (x, k)
+                checked += 1
+        assert checked == 107
 
 
 def test_03_extended_square_counts():

@@ -1,4 +1,5 @@
 import math
+from decimal import Context, Decimal, localcontext
 
 import pytest
 
@@ -75,6 +76,23 @@ def test_guard_precision_keeps_every_table_floor(monkeypatch):
             assert floor_lower_bound(x, k) == lo
             cells += 2
     assert precisions.count(bounds.GUARD_DPS) == cells == 214
+
+
+def test_constant_cached_per_precision():
+    # c_k is computed once per (k, precision): the 120-digit guard gets
+    # its own value, not the 40-digit one
+    with localcontext(Context(prec=bounds.WORK_DPS)):
+        work = bounds._c(3)
+    with localcontext(Context(prec=bounds.GUARD_DPS)):
+        guard = bounds._c(3)
+    assert len(work.as_tuple().digits) <= bounds.WORK_DPS < len(guard.as_tuple().digits)
+    assert abs(guard - work) < Decimal("1e-38")
+    with localcontext(Context(prec=bounds.WORK_DPS)):
+        assert bounds._c(3) is work
+    before = bounds._c_at.cache_info()
+    floor_upper_bound(10 ** 15, 3)
+    after = bounds._c_at.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_sampled_table_cells():

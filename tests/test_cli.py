@@ -159,9 +159,43 @@ def test_usage_errors_exit_one(capsys):
 def test_resource_errors_exit_two(capsys):
     # sieving to 10^15 would need half a petabyte of flags; the budget
     # guard turns that into a clean resource failure
-    code, _, err = run_cli(capsys, "count", "--k", "2", "--x", "1e30")
+    code, out, err = run_cli(capsys, "count", "--k", "2", "--x", "1e30")
     assert code == 2
+    assert out == ""
     assert "budget" in err
+
+
+def test_bare_memory_error_gets_a_message(capsys, monkeypatch):
+    def exhausted(args, sink):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli._COMMANDS, "count", exhausted)
+    code, out, err = run_cli(capsys, "count", "--k", "2", "--x", "100")
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory\n"
+
+
+def test_table_and_count_stream_without_the_prefix_array(capsys, monkeypatch):
+    # table and plain count read primes straight from the sieve: neither
+    # builds the prime list or the prefix array
+    def refused(*args, **kwargs):
+        raise AssertionError("table and count must not build the prefix array")
+
+    for name, module in list(sys.modules.items()):
+        if name == "primesums" or name.startswith("primesums."):
+            for attr in ("build", "build_from_primes", "primes_up_to"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refused)
+    code, out, _ = run_cli(capsys, "table", "--k", "3", "--from", "1e3", "--to", "1e20")
+    assert code == 0
+    assert [tuple(int(v) for v in line.split("\t")) for line in out.splitlines()] \
+        == COUNT_TABLES[3]
+    code, out, _ = run_cli(capsys, "count", "--k", "2", "--x", "1e12")
+    assert code == 0
+    assert out == "1000000000000\t2\t8867094\t3356\t78498\n"
+    with pytest.raises(AssertionError):
+        main(["count", "--k", "2", "--x", "1e5", "--distinct"])
 
 
 def test_out_file_unwritable_exits_two(capsys, tmp_path):

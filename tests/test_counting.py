@@ -4,9 +4,10 @@ from bisect import bisect_right
 import pytest
 
 from golden import COUNT_TABLES, direct_sums, naive_window_count
-from primesums.counting import count_sums, max_run_length
+from primesums.counting import count_sums, count_up_to, max_run_length, run_lengths
 from primesums.enumeration import enumerate_sums
 from primesums.prefix import build
+from primesums.sieve import SEGMENT_BYTES
 
 
 @pytest.mark.parametrize(
@@ -81,3 +82,39 @@ def test_pointer_never_lags_when_first_powers_exceed_x():
     report = count_sums(ps)
     assert report.prime_count == 4  # 2, 3, 5, 7
     assert report.count == sum(1 for _ in enumerate_sums(ps))
+
+
+@pytest.mark.parametrize(
+    "powers,x,expected",
+    [
+        ([4, 9, 25, 49], 100, [4, 3, 2, 1]),
+        ([4, 9, 25, 49], 30, [2, 1, 1, 0]),
+        ([4, 9, 25, 49], 3, [0, 0, 0, 0]),
+        ([], 100, []),
+    ],
+)
+def test_run_lengths_examples(powers, x, expected):
+    assert list(run_lengths(powers, x)) == expected
+    assert list(run_lengths(iter(powers), x)) == expected
+
+
+def test_run_lengths_reads_one_power_past_the_first_run():
+    # enumerate | head needs the first run before the whole stream is read
+    read = []
+
+    def powers():
+        for p in (2, 3, 5, 7, 11, 13):
+            read.append(p)
+            yield p * p
+
+    runs = run_lengths(powers(), 40)
+    assert next(runs) == 3  # 4 + 9 + 25
+    assert read == [2, 3, 5, 7]
+
+
+@pytest.mark.parametrize("offset", [-2, 0, 2])
+def test_count_up_to_roots_at_sieve_segment_edges(offset):
+    # the streamed primes cross from the sieve's first segment into its second
+    root = 2 * SEGMENT_BYTES + 1 + offset
+    x = root * root
+    assert count_up_to(x, 2) == count_sums(build(x, 2))

@@ -12,13 +12,15 @@ from collections import Counter
 from contextlib import redirect_stdout
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golden import direct_sums
 from primesums import duplicates
 from primesums.cli import main
-from primesums.counting import count_sums
+from primesums.arith import UINT128_MAX
+from primesums.counting import count_sums, count_up_to
 from primesums.duplicates import (
     distinct_count,
     find_cross_power_duplicates,
@@ -33,6 +35,10 @@ cases = st.tuples(st.integers(0, 10 ** 7), st.integers(2, 12))
 # squares first repeat at 14720439, so duplicate cases reach 10^8
 duplicate_cases = st.one_of(cases, st.tuples(st.integers(10 ** 7, 10 ** 8), st.just(2)))
 exponent_pairs = st.lists(st.integers(2, 6), min_size=2, max_size=2, unique=True)
+# every exponent, with x^(1/k) below 10^4 so that build stays quick
+stream_cases = st.integers(2, 64).flatmap(
+    lambda k: st.tuples(st.integers(0, min(UINT128_MAX, 10 ** (4 * k))), st.just(k))
+)
 
 
 @settings(deadline=None)
@@ -55,6 +61,26 @@ def test_cli_enumerate_matches_direct_sums(case):
     assert code == 0
     rows = direct_sums(x, k)
     assert out.getvalue() == "".join(f"{n}\t{p}\n" for n, p, _ in rows)
+
+
+@settings(deadline=None)
+@given(st.one_of(cases, stream_cases))
+def test_count_up_to_matches_prefix_count(case):
+    x, k = case
+    assert count_up_to(x, k) == count_sums(build(x, k))
+
+
+def edge_xs(k):
+    """x from 0 to 5, and 2^k - 1, 2^k and p^k - 1, p^k, p^k + 1 for small primes p."""
+    around = [p ** k + d for p in (2, 3, 5, 7, 11) for d in (-1, 0, 1)]
+    return sorted(x for x in {*range(6), 2 ** k - 1, *around} if x <= UINT128_MAX)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 8, 20, 64])
+def test_count_up_to_matches_prefix_count_at_edges(k):
+    for x in edge_xs(k):
+        # CountReport compares all five fields
+        assert count_up_to(x, k) == count_sums(build(x, k)), (x, k)
 
 
 def brute_duplicates(x, k):

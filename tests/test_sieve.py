@@ -1,13 +1,23 @@
+import math
+from bisect import bisect_right
+from functools import lru_cache
+
 import pytest
 
 import primesums
 from golden import trial_primes
+from primesums.counting import count_up_to
 from primesums.sieve import (
+    SEGMENT_BYTES,
     SieveMemoryError,
+    iter_primes,
     prime_count,
     primes_up_to,
     sieve_bytes_needed,
 )
+
+# segment j of the sieve starts at the odd number 2 * SEGMENT_BYTES * j + 1
+EDGES = [2 * SEGMENT_BYTES * j + 1 for j in (1, 2, 3)]
 
 
 def test_small_examples():
@@ -75,3 +85,47 @@ def test_rejects_negative_limit():
         primes_up_to(-1)
     with pytest.raises(ValueError):
         prime_count(-5)
+
+
+# covers each edge's limits and the square of the first prime past its root
+ORACLE_LIMIT = (math.isqrt(EDGES[-1]) + 20) ** 2
+
+
+@lru_cache(maxsize=None)
+def oracle_primes():
+    return trial_primes(ORACLE_LIMIT)
+
+
+def check_against_trial_division(limit):
+    assert limit <= ORACLE_LIMIT
+    expected = oracle_primes()[: bisect_right(oracle_primes(), limit)]
+    assert primes_up_to(limit) == expected
+    assert prime_count(limit) == len(expected)
+
+
+@pytest.mark.parametrize("offset", [-2, 0, 2])
+@pytest.mark.parametrize("edge", EDGES)
+def test_limits_at_segment_edges(edge, offset):
+    # offset -2 fills whole segments exactly; 0 and 2 start a new one
+    check_against_trial_division(edge + offset)
+
+
+@pytest.mark.parametrize("edge", EDGES)
+def test_prime_squares_next_to_segment_edges(edge):
+    primes = oracle_primes()
+    root = math.isqrt(edge)
+    before = primes[bisect_right(primes, root) - 1]  # before^2 < edge
+    after = primes[bisect_right(primes, root)]  # after^2 > edge
+    assert before * before < edge < after * after
+    for p in (before, after):
+        # at p * p, p is the last base prime and its square the last number
+        for limit in (p * p - 2, p * p, p * p + 2):
+            check_against_trial_division(limit)
+
+
+def test_refusal_comes_before_the_first_prime():
+    # the call itself raises: not even the prime 2 is handed out
+    with pytest.raises(SieveMemoryError, match="budget is 2147483648"):
+        iter_primes(2 ** 32 + 1)
+    with pytest.raises(SieveMemoryError, match="budget is 2147483648"):
+        count_up_to(10 ** 30, 2)
