@@ -21,7 +21,7 @@ from .bounds import (
     tws_upper_s2,
     upper_bound,
 )
-from .counting import CountReport, count_sums, count_up_to, max_run_length
+from .counting import CountReport, count_rows, count_sums, count_up_to, max_run_length
 from .duplicates import (
     DuplicateGroup,
     distinct_count,
@@ -54,6 +54,7 @@ __all__ = [
     "build_from_primes",
     "c_constant",
     "checked_pow",
+    "count_rows",
     "count_sums",
     "count_up_to",
     "distinct_count",

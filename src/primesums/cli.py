@@ -15,7 +15,7 @@ import stat
 import sys
 
 from .bounds import bound_estimate, floor_lower_bound, floor_upper_bound
-from .counting import count_sums, count_up_to, run_lengths_of
+from .counting import count_rows, count_sums, count_up_to, run_lengths_of
 from .duplicates import (
     duplicate_surplus,
     find_cross_power_duplicates_from_prefixes,
@@ -164,13 +164,17 @@ def _run_table(args: argparse.Namespace, sink) -> None:
         raise UsageError(f"--from {args.from_x} exceeds --to {args.to_x}")
     sep = _sep(args)
     _header(args, sink, ("x", "count", "upper", "lower"))
+    xs = []
     x = args.from_x
     while x <= args.to_x:
-        report = count_up_to(x, args.k)
+        xs.append(x)
+        x *= 10
+    # one sieve pass for every row; each row is written as it completes
+    for report in count_rows(xs, args.k):
+        x = report.x
         upper = floor_upper_bound(x, args.k)
         row = (x, report.count, upper, floor_lower_bound(x, args.k))
         sink.write(sep.join(str(v) for v in row) + "\n")
-        x *= 10
 
 
 def _run_bounds(args: argparse.Namespace, sink) -> None:

@@ -6,21 +6,38 @@ Because the powers are positive, the end of that run never moves back
 as b grows, so run_lengths sweeps a window once across an ascending
 stream of powers: it adds each new power, and while the window sum
 exceeds x the first start's run is complete.  The sweep holds only the
-current window, so count_up_to needs no prime list and no prefix array:
+current window, so counting needs no prime list and no prefix array:
 the sieve's stream of primes feeds it directly, and the count costs
 O(pi(x^(1/k))) time in O(sqrt(x^(1/k))) memory plus the longest run.
-Counting a prefix array, the length histogram, enumeration and the
-duplicate search consume the same sweep.
+
+count_rows counts a whole table from one sieve pass: the sieve runs once,
+up to the largest row's root, and every row sweeps its own window over
+the shared powers, so the primes are found and raised to the k-th power
+once per table, not once per row.  Its memory is the sieve's base primes
+and one segment, each row's window, and the powers between the slowest
+and the fastest row.  count_up_to is its one-row case.  Counting a
+prefix array, the length histogram, enumeration and the duplicate search
+consume the same sweep.
+
+A report comes straight from the runs, in start order: the count is
+their sum, prime_count their number, and max_run_length the first run,
+which is the longest because the powers ascend.
 """
 
 from bisect import bisect_right
-from collections import Counter, deque
-from itertools import repeat
+from collections import deque
+from itertools import chain, islice, repeat, tee
 from typing import Iterable, Iterator, NamedTuple
 
 from .arith import check_uint128, integer_kth_root
 from .prefix import PowerPrefixSums, check_power
-from .sieve import iter_primes
+from .sieve import SieveMemoryError, check_budget, prime_blocks
+
+# starts each row drains per lockstep round of count_rows
+BATCH_STARTS = 1 << 10
+# powers per item of count_rows' tee: tee buffers items in links of 57,
+# so a link of whole sieve blocks would hold ~57,000 powers at any lag
+SHARED_POWERS = 1 << 8
 
 
 class CountReport(NamedTuple):
@@ -61,29 +78,110 @@ def run_lengths_of(ps: PowerPrefixSums) -> Iterator[int]:
     return run_lengths(map(pow, ps.primes, repeat(ps.k)), ps.x)
 
 
-def _report(x: int, k: int, runs: Counter) -> CountReport:
-    """The CountReport of a Counter mapping run length to its number of starts."""
-    return CountReport(
-        x=x,
-        k=k,
-        count=sum(m * starts for m, starts in runs.items()),
-        # ascending powers: the first start has the longest run
-        max_run_length=max(runs, default=0),
-        prime_count=sum(runs.values()),
-    )
+class _Tally:
+    """A running CountReport of one row's runs, drained a batch at a time.
+
+    The runs come in start order, so the first is the longest (the
+    powers ascend), their sum is the count and their number the primes.
+    """
+
+    __slots__ = ("x", "runs", "count", "starts", "first")
+
+    def __init__(self, x: int, runs: Iterator[int]):
+        self.x = x
+        self.runs = runs
+        self.count = 0
+        self.starts = 0
+        self.first = 0
+
+    def drain(self, size: int) -> bool:
+        """Add up to size more runs; True once the runs are used up."""
+        batch = list(islice(self.runs, size))
+        if batch and not self.starts:
+            self.first = batch[0]
+        self.count += sum(batch)
+        self.starts += len(batch)
+        return len(batch) < size
+
+    def report(self, k: int) -> CountReport:
+        return CountReport(self.x, k, self.count, self.first, self.starts)
 
 
 def count_sums(ps: PowerPrefixSums) -> CountReport:
-    return _report(ps.x, ps.k, Counter(run_lengths_of(ps)))
+    tally = _Tally(ps.x, run_lengths_of(ps))
+    while not tally.drain(BATCH_STARTS):
+        pass
+    return tally.report(ps.k)
+
+
+def _sieve_limit(x: int, k: int) -> int:
+    """The largest p whose p^k can be <= x; raises if x or the sieve is out of range."""
+    check_uint128(x, "x")
+    root = integer_kth_root(x, k)
+    check_budget(root)
+    return root
+
+
+def _powers_up_to(pieces: Iterator[list], x: int) -> Iterator[list]:
+    """The leading lists of ascending powers, cut after the last power <= x."""
+    for powers in pieces:
+        if powers and powers[-1] > x:
+            yield powers[: bisect_right(powers, x)]
+            return
+        yield powers
+
+
+def count_rows(xs: Iterable[int], k: int) -> Iterator[CountReport]:
+    """count_sums(build(x, k)) for each x of the ascending xs, from one sieve pass.
+
+    The k-th powers of the sieved primes are shared through itertools.tee,
+    in lists of SHARED_POWERS, and every row runs its own run_lengths
+    over the powers up to its x.  The rows are drained in lockstep,
+    BATCH_STARTS starts at a time, so the tee buffers only the powers
+    between the slowest and the fastest row.  A row's report is yielded
+    as soon as its runs are done, and the row is dropped with its tee
+    iterator, which no longer holds the buffer.
+
+    The sieve stops at the last row whose x is in range and whose sieve
+    is within budget; the first row that is not raises its own error
+    once the rows before it are out.
+    """
+    check_power(k)
+    xs = list(xs)
+    if any(a > b for a, b in zip(xs, xs[1:])):
+        raise ValueError(f"rows must be ascending, got {xs}")
+    limits = []
+    error = None
+    for x in xs:
+        try:
+            limits.append(_sieve_limit(x, k))
+        except (ValueError, SieveMemoryError) as err:
+            error = err
+            break
+    if limits:
+        blocks = prime_blocks(limits[-1])
+        shared = (
+            list(map(pow, primes[i : i + SHARED_POWERS], repeat(k)))
+            for primes in blocks
+            for i in range(0, len(primes), SHARED_POWERS)
+        )
+        tallies = [
+            _Tally(x, run_lengths(chain.from_iterable(_powers_up_to(stream, x)), x))
+            for x, stream in zip(xs, tee(shared, len(limits)))
+        ]
+        while tallies:
+            done = [tally.drain(BATCH_STARTS) for tally in tallies]
+            # ascending rows have nondecreasing start counts, so they end in order
+            while done and done[0]:
+                del done[0]
+                yield tallies.pop(0).report(k)
+    if error is not None:
+        raise error
 
 
 def count_up_to(x: int, k: int) -> CountReport:
     """count_sums(build(x, k)) from a stream of primes, without the prefix array.
 
-    Holds the sieve's base primes up to sqrt(x^(1/k)), one sieve segment
-    and the current window.
+    The one-row case of count_rows.
     """
-    check_power(k)
-    check_uint128(x, "x")
-    powers = map(pow, iter_primes(integer_kth_root(x, k)), repeat(k))
-    return _report(x, k, Counter(run_lengths(powers, x)))
+    return next(count_rows([x], k))

@@ -23,7 +23,7 @@ from golden import (
 )
 from primesums.arith import UINT128_MAX, checked_pow, integer_kth_root
 from primesums.bounds import floor_lower_bound, floor_upper_bound, c_constant, per_length_bound
-from primesums.counting import count_sums, count_up_to
+from primesums.counting import count_rows, count_sums, count_up_to
 from primesums.duplicates import find_cross_power_duplicates, find_duplicates
 from primesums.enumeration import enumerate_sums, length_histogram, smallest_elements
 from primesums.prefix import build
@@ -54,15 +54,18 @@ def test_01_worked_cube_example():
 
 
 def test_02_count_tables_exact():
-    # every row through the streamed count that table and count print;
-    # test_03 checks the prefix-array count on the largest square rows
+    # every row through count_rows, one call per table as table prints
+    # them, and the largest square row through count_up_to as count
+    # prints it; test_03 checks the prefix-array count on the largest
+    # square rows
     with stopwatch(60.0):
         checked = 0
         for k, rows in COUNT_TABLES.items():
-            for x, expected, _, _ in rows:
-                assert count_up_to(x, k).count == expected, (x, k)
-                checked += 1
+            reports = list(count_rows([x for x, _, _, _ in rows], k))
+            assert [(r.x, r.count) for r in reports] == [(x, n) for x, n, _, _ in rows], k
+            checked += len(reports)
         assert checked == 107
+        assert count_up_to(10 ** 15, 2).count == 665005737
 
 
 def test_03_extended_square_counts():

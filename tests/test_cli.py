@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from golden import BOUNDS_CSV_HEADER, BOUNDS_CSV_ROWS, COUNT_TABLES
-from primesums import cli
+from primesums import cli, sieve
 from primesums.cli import main, parse_x
 
 
@@ -163,6 +163,21 @@ def test_resource_errors_exit_two(capsys):
     assert code == 2
     assert out == ""
     assert "budget" in err
+
+
+def test_table_prints_rows_before_the_first_failing_one(capsys, monkeypatch):
+    # each row in budget and in range is printed; the first row that is
+    # not ends the table with its own error and exit status
+    monkeypatch.setattr(sieve, "BUDGET_BYTES", 10 ** 4)
+    code, out, err = run_cli(capsys, "table", "--k", "2", "--from", "1e3", "--to", "1e12")
+    assert code == 2
+    assert out == "".join("\t".join(map(str, row)) + "\n" for row in COUNT_TABLES[2][:6])
+    assert err == "error: sieve to 31622 needs 15811 bytes, budget is 10000\n"
+    monkeypatch.undo()
+    code, out, err = run_cli(capsys, "table", "--k", "64", "--from", "1e36", "--to", "1e40")
+    assert code == 1
+    assert out == "".join(f"{10 ** e}\t3\t8\t4\n" for e in (36, 37, 38))
+    assert err == f"usage error: x must be an unsigned 128-bit integer, got {10 ** 39}\n"
 
 
 def test_bare_memory_error_gets_a_message(capsys, monkeypatch):

@@ -1,13 +1,21 @@
 import random
+import tracemalloc
 from bisect import bisect_right
 
 import pytest
 
 from golden import COUNT_TABLES, direct_sums, naive_window_count
-from primesums.counting import count_sums, count_up_to, max_run_length, run_lengths
+from primesums.arith import UINT128_MAX
+from primesums.counting import (
+    count_rows,
+    count_sums,
+    count_up_to,
+    max_run_length,
+    run_lengths,
+)
 from primesums.enumeration import enumerate_sums
 from primesums.prefix import build
-from primesums.sieve import SEGMENT_BYTES
+from primesums.sieve import BLOCK_ODDS, SEGMENT_BYTES
 
 
 @pytest.mark.parametrize(
@@ -112,9 +120,68 @@ def test_run_lengths_reads_one_power_past_the_first_run():
     assert read == [2, 3, 5, 7]
 
 
+def prefix_counts(xs, k):
+    return [count_sums(build(x, k)) for x in xs]
+
+
 @pytest.mark.parametrize("offset", [-2, 0, 2])
 def test_count_up_to_roots_at_sieve_segment_edges(offset):
     # the streamed primes cross from the sieve's first segment into its second
     root = 2 * SEGMENT_BYTES + 1 + offset
     x = root * root
     assert count_up_to(x, 2) == count_sums(build(x, 2))
+
+
+# the odd number that starts the sieve's second segment, and the ones
+# that start extraction sub-blocks 1, 2 and 3
+EDGES = [2 * SEGMENT_BYTES + 1] + [2 * BLOCK_ODDS * j + 1 for j in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("edge", EDGES)
+def test_count_rows_with_roots_at_block_edges(edge):
+    # one table whose rows end just before, on and just after the edge,
+    # so the sieve stops on it and the rows are cut next to it
+    xs = [(edge + offset) ** 2 for offset in (-2, 0, 2)]
+    assert list(count_rows(xs, 2)) == prefix_counts(xs, 2)
+    assert list(count_rows(xs[:1], 2)) == prefix_counts(xs[:1], 2)
+
+
+@pytest.mark.parametrize("k", [2, 3, 64])
+def test_count_rows_below_the_first_power(k):
+    # no prime has p^k <= x below 2^k, with or without later rows
+    xs = [0, 1, 2 ** k - 1]
+    reports = list(count_rows(xs, k))
+    assert reports == [(x, k, 0, 0, 0) for x in xs] == prefix_counts(xs, k)
+    xs += [x for x in (2 ** k, 3 ** k - 1, 3 ** k, 5 ** k + 2 ** k) if x <= UINT128_MAX]
+    assert list(count_rows(xs, k)) == prefix_counts(xs, k)
+
+
+def test_count_rows_at_the_largest_exponent_and_x():
+    xs = [2 ** 64, 3 ** 64 + 2 ** 64, 10 ** 38, UINT128_MAX]
+    assert list(count_rows(xs, 64)) == prefix_counts(xs, 64)
+
+
+def test_count_rows_edge_cases():
+    assert list(count_rows([], 2)) == []
+    assert list(count_rows([100, 100], 2)) == prefix_counts([100, 100], 2)
+    with pytest.raises(ValueError, match="ascending"):
+        next(count_rows([1000, 100], 2))
+    # a row out of range raises once the rows before it are out
+    rows = count_rows([10 ** 3, 10 ** 39, 10 ** 40], 2)
+    assert next(rows) == count_sums(build(10 ** 3, 2))
+    with pytest.raises(ValueError, match="128-bit"):
+        next(rows)
+
+
+def test_finished_row_releases_the_shared_powers():
+    # the 10^3 row is done within the first batch; were it to keep its tee
+    # iterator, the tee would buffer every one of the 78,498 powers of the
+    # 10^12 row (about 3 MB), where the lag between the rows is ~3,400
+    tracemalloc.start()
+    try:
+        reports = list(count_rows([10 ** 3, 10 ** 12], 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [r.count for r in reports] == [37, 8867094]
+    assert peak < 2 * 2 ** 20

@@ -20,7 +20,7 @@ from golden import direct_sums
 from primesums import duplicates
 from primesums.cli import main
 from primesums.arith import UINT128_MAX
-from primesums.counting import count_sums, count_up_to
+from primesums.counting import count_rows, count_sums, count_up_to
 from primesums.duplicates import (
     distinct_count,
     find_cross_power_duplicates,
@@ -68,6 +68,19 @@ def test_cli_enumerate_matches_direct_sums(case):
 def test_count_up_to_matches_prefix_count(case):
     x, k = case
     assert count_up_to(x, k) == count_sums(build(x, k))
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(cases, stream_cases).flatmap(
+        lambda case: st.tuples(
+            st.lists(st.integers(0, case[0]), max_size=6).map(sorted), st.just(case[1])
+        )
+    )
+)
+def test_count_rows_match_prefix_counts(case):
+    xs, k = case
+    assert list(count_rows(xs, k)) == [count_sums(build(x, k)) for x in xs]
 
 
 def edge_xs(k):

@@ -8,9 +8,11 @@ import primesums
 from golden import trial_primes
 from primesums.counting import count_up_to
 from primesums.sieve import (
+    BLOCK_ODDS,
     SEGMENT_BYTES,
     SieveMemoryError,
     iter_primes,
+    prime_blocks,
     prime_count,
     primes_up_to,
     sieve_bytes_needed,
@@ -18,6 +20,8 @@ from primesums.sieve import (
 
 # segment j of the sieve starts at the odd number 2 * SEGMENT_BYTES * j + 1
 EDGES = [2 * SEGMENT_BYTES * j + 1 for j in (1, 2, 3)]
+# and extraction sub-block j at 2 * BLOCK_ODDS * j + 1
+BLOCK_EDGES = [2 * BLOCK_ODDS * j + 1 for j in (1, 2, 3)]
 
 
 def test_small_examples():
@@ -104,10 +108,22 @@ def check_against_trial_division(limit):
 
 
 @pytest.mark.parametrize("offset", [-2, 0, 2])
-@pytest.mark.parametrize("edge", EDGES)
+@pytest.mark.parametrize("edge", EDGES + BLOCK_EDGES)
 def test_limits_at_segment_edges(edge, offset):
-    # offset -2 fills whole segments exactly; 0 and 2 start a new one
+    # offset -2 fills whole segments or sub-blocks exactly; 0 and 2 start a new one
     check_against_trial_division(edge + offset)
+
+
+@pytest.mark.parametrize("limit", [2, 3, BLOCK_EDGES[0], 2 * SEGMENT_BYTES + 2 * BLOCK_ODDS])
+def test_prime_blocks_follow_the_sub_blocks(limit):
+    blocks = list(prime_blocks(limit))
+    assert blocks[0] == [2]
+    # list i holds the odd primes from 2 * BLOCK_ODDS * (i - 1) + 1 on
+    for i, block in enumerate(blocks[1:], 1):
+        first = 2 * BLOCK_ODDS * (i - 1) + 1
+        assert all(first <= p < first + 2 * BLOCK_ODDS for p in block)
+    assert len(blocks) == 1 + math.ceil(sieve_bytes_needed(limit) / BLOCK_ODDS)
+    assert [p for block in blocks for p in block] == primes_up_to(limit)
 
 
 @pytest.mark.parametrize("edge", EDGES)
@@ -127,5 +143,7 @@ def test_refusal_comes_before_the_first_prime():
     # the call itself raises: not even the prime 2 is handed out
     with pytest.raises(SieveMemoryError, match="budget is 2147483648"):
         iter_primes(2 ** 32 + 1)
+    with pytest.raises(SieveMemoryError, match="budget is 2147483648"):
+        prime_blocks(2 ** 32 + 1)
     with pytest.raises(SieveMemoryError, match="budget is 2147483648"):
         count_up_to(10 ** 30, 2)
