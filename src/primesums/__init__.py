@@ -21,7 +21,7 @@ from .bounds import (
     tws_upper_s2,
     upper_bound,
 )
-from .counting import CountReport, count_rows, count_sums, count_up_to, max_run_length
+from .counting import CountReport, count_rows, count_sums, count_up_to
 from .duplicates import (
     DuplicateGroup,
     distinct_count,
@@ -68,7 +68,6 @@ __all__ = [
     "length_histogram",
     "lower_bound",
     "m_estimate",
-    "max_run_length",
     "per_length_bound",
     "prime_count",
     "primes_up_to",

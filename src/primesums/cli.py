@@ -15,13 +15,14 @@ import stat
 import sys
 
 from .bounds import bound_estimate, floor_lower_bound, floor_upper_bound
-from .counting import count_rows, count_sums, count_up_to, run_lengths_of
+from .counting import count_rows, count_sums, count_up_to, start_runs
 from .duplicates import (
     duplicate_surplus,
     find_cross_power_duplicates_from_prefixes,
     find_duplicates_from_prefix,
 )
-from .prefix import build
+from .prefix import build, sieve_limit
+from .sieve import iter_primes
 
 
 class UsageError(ValueError):
@@ -128,16 +129,14 @@ def _header(args: argparse.Namespace, sink, names) -> None:
 
 
 def _run_enumerate(args: argparse.Namespace, sink) -> None:
-    ps = build(args.x, args.k)
-    f = ps.f
-    primes = ps.primes
+    # checked before the header: a bad k, x or sieve prints nothing
+    primes = iter_primes(sieve_limit(args.x, args.k))
     sep = _sep(args)
     _header(args, sink, ("n", "start_prime"))
-    for b, run in enumerate(run_lengths_of(ps)):
-        # one write per start: every run from b shares its start prime
-        fb = f[b]
-        tail = f"{sep}{primes[b]}\n"
-        sink.write(tail.join([str(ft - fb) for ft in f[b + 1 : b + run + 1]]) + tail)
+    for p, fb, ends in start_runs(primes, args.k, args.x):
+        # one write per start: every run from it shares its start prime
+        tail = f"{sep}{p}\n"
+        sink.write(tail.join([str(ft - fb) for ft in ends]) + tail)
 
 
 def _run_count(args: argparse.Namespace, sink) -> None:

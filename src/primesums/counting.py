@@ -16,12 +16,18 @@ the shared powers, so the primes are found and raised to the k-th power
 once per table, not once per row.  Its memory is the sieve's base primes
 and one segment, each row's window, and the powers between the slowest
 and the fastest row.  count_up_to is its one-row case.  Counting a
-prefix array, the length histogram, enumeration and the duplicate search
-consume the same sweep.
+prefix array, the length histogram and the duplicate search consume
+the same sweep.
+
+Enumeration streams too: start_runs drives run_lengths over a stream of
+primes and keeps the prefix sums only from the current start on, so
+each start's sums come out as soon as its run is known, in the memory
+of the longest run.  It is the one loop that turns runs into sums, for
+enumeration.enumerate_sums and the CLI's enumerate alike.
 
 A report comes straight from the runs, in start order: the count is
-their sum, prime_count their number, and max_run_length the first run,
-which is the longest because the powers ascend.
+their sum, prime_count the number of nonzero runs, and max_run_length
+the first run, which is the longest because the powers ascend.
 """
 
 from bisect import bisect_right
@@ -29,15 +35,16 @@ from collections import deque
 from itertools import chain, islice, repeat, tee
 from typing import Iterable, Iterator, NamedTuple
 
-from .arith import check_uint128, integer_kth_root
-from .prefix import PowerPrefixSums, check_power
-from .sieve import SieveMemoryError, check_budget, prime_blocks
+from .prefix import PowerPrefixSums, check_power, sieve_limit
+from .sieve import SieveMemoryError, prime_blocks
 
 # starts each row drains per lockstep round of count_rows
 BATCH_STARTS = 1 << 10
 # powers per item of count_rows' tee: tee buffers items in links of 57,
 # so a link of whole sieve blocks would hold ~57,000 powers at any lag
 SHARED_POWERS = 1 << 8
+# starts start_runs yields between drops of the prefix sums behind them
+TRIM_STARTS = 1 << 12
 
 
 class CountReport(NamedTuple):
@@ -46,11 +53,6 @@ class CountReport(NamedTuple):
     count: int  # runs of length >= 1 with sum <= x, with multiplicity
     max_run_length: int  # longest run starting at the first prime
     prime_count: int  # primes with p^k <= x
-
-
-def max_run_length(ps: PowerPrefixSums) -> int:
-    """Largest m with p_1^k + ... + p_m^k <= x."""
-    return bisect_right(ps.f, ps.x) - 1
 
 
 def run_lengths(powers: Iterable[int], x: int) -> Iterator[int]:
@@ -73,6 +75,39 @@ def run_lengths(powers: Iterable[int], x: int) -> Iterator[int]:
     yield from range(len(window), 0, -1)
 
 
+def start_runs(primes: Iterable[int], k: int, x: int) -> Iterator[tuple]:
+    """For each start b with a run, in order: (p, f[b], [f[b+1], ..., f[b+run]]).
+
+    p is the start's prime and f the prefix sums of the k-th powers of
+    primes, an ascending iterable read lazily by run_lengths, so the
+    sums from b are f[b+1] - f[b], ..., f[b+run] - f[b].  Only the
+    prefix sums from the current start on are kept, trimmed every
+    TRIM_STARTS starts.  The first start whose power exceeds x ends the
+    stream, since no later start has a run either.
+    """
+    starts = deque()
+    sums = [0]
+    head = 0  # sums[head] is f[b] of the current start b
+
+    def powers():
+        total = 0
+        for p in primes:
+            power = p ** k
+            total += power
+            starts.append(p)
+            sums.append(total)
+            yield power
+
+    for run in run_lengths(powers(), x):
+        if not run:
+            return
+        yield starts.popleft(), sums[head], sums[head + 1 : head + run + 1]
+        head += 1
+        if head == TRIM_STARTS:
+            del sums[:head]
+            head = 0
+
+
 def run_lengths_of(ps: PowerPrefixSums) -> Iterator[int]:
     """run_lengths over the k-th powers of the primes of ps."""
     return run_lengths(map(pow, ps.primes, repeat(ps.k)), ps.x)
@@ -82,7 +117,8 @@ class _Tally:
     """A running CountReport of one row's runs, drained a batch at a time.
 
     The runs come in start order, so the first is the longest (the
-    powers ascend), their sum is the count and their number the primes.
+    powers ascend), their sum is the count and the number of nonzero
+    runs the primes.
     """
 
     __slots__ = ("x", "runs", "count", "starts", "first")
@@ -100,7 +136,8 @@ class _Tally:
         if batch and not self.starts:
             self.first = batch[0]
         self.count += sum(batch)
-        self.starts += len(batch)
+        # runs of 0, for powers above x, come last and start no sum
+        self.starts += len(batch) - batch.count(0)
         return len(batch) < size
 
     def report(self, k: int) -> CountReport:
@@ -112,14 +149,6 @@ def count_sums(ps: PowerPrefixSums) -> CountReport:
     while not tally.drain(BATCH_STARTS):
         pass
     return tally.report(ps.k)
-
-
-def _sieve_limit(x: int, k: int) -> int:
-    """The largest p whose p^k can be <= x; raises if x or the sieve is out of range."""
-    check_uint128(x, "x")
-    root = integer_kth_root(x, k)
-    check_budget(root)
-    return root
 
 
 def _powers_up_to(pieces: Iterator[list], x: int) -> Iterator[list]:
@@ -154,7 +183,7 @@ def count_rows(xs: Iterable[int], k: int) -> Iterator[CountReport]:
     error = None
     for x in xs:
         try:
-            limits.append(_sieve_limit(x, k))
+            limits.append(sieve_limit(x, k))
         except (ValueError, SieveMemoryError) as err:
             error = err
             break

@@ -1,18 +1,20 @@
 """Streaming enumeration of consecutive prime-power sums.
 
 Every n <= x of the form p_{b+1}^k + ... + p_t^k is emitted exactly
-once per witness (b, t), ordered by start index and then length: the
-outer loop walks b, and the counting sweep supplies the length of each
-start's run, which slices the prefix array.  The stream is a
-generator, so a billion representations never need to sit in memory
-at once.
+once per witness (b, t), ordered by start index and then length:
+counting.start_runs walks b and hands over each start's prime with the
+prefix sums of its run.  The stream is a generator, so a billion
+representations never need to sit in memory at once.  The CLI's
+enumerate reads start_runs over the sieve's stream of primes, without
+the prime list or the prefix array; enumerate_sums reads it over the
+primes of a PowerPrefixSums.
 """
 
 from collections import Counter
 from typing import Iterator, NamedTuple
 
 from .arith import UINT128_MAX
-from .counting import run_lengths_of
+from .counting import run_lengths_of, start_runs
 from .prefix import PowerPrefixSums, build
 
 
@@ -36,13 +38,9 @@ def enumerate_sums(ps: PowerPrefixSums) -> Iterator[Representation]:
 
     Closing the generator early is safe.
     """
-    f = ps.f
-    primes = ps.primes
     k = ps.k
-    for b, run in enumerate(run_lengths_of(ps)):
-        fb = f[b]
-        p = primes[b]
-        for m, ft in enumerate(f[b + 1 : b + run + 1], 1):
+    for b, (p, fb, ends) in enumerate(start_runs(ps.primes, k, ps.x)):
+        for m, ft in enumerate(ends, 1):
             yield Representation(ft - fb, k, b, m, p)
 
 

@@ -2,16 +2,19 @@
 
 With primes p_1 < p_2 < ... the array f satisfies f[0] = 0 and
 f[i] = p_1^k + ... + p_i^k, so every sum of consecutive prime powers
-p_{b+1}^k + ... + p_t^k is the difference f[t] - f[b].  Enumeration
-and duplicate detection work on those differences; counting needs only
-the stream of powers (counting.count_up_to).
+p_{b+1}^k + ... + p_t^k is the difference f[t] - f[b].  The duplicate
+searches work on the whole array, so duplicates, cross and
+count --distinct build it; counting needs only the stream of powers
+(counting.count_up_to), and enumeration keeps f only for the current
+run (counting.start_runs).  sieve_limit maps (x, k) to the sieve limit
+for all of them.
 """
 
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 
 from .arith import check_uint64, check_uint128, checked_pow, integer_kth_root
-from .sieve import primes_up_to
+from .sieve import check_budget, primes_up_to
 
 K_MIN = 2
 K_MAX = 64
@@ -52,13 +55,20 @@ def build_from_primes(primes: list, k: int, x: int) -> PowerPrefixSums:
     return PowerPrefixSums(x=x, k=k, primes=primes, f=f)
 
 
-def build(x: int, k: int) -> PowerPrefixSums:
-    """Prefix sums covering every prime whose k-th power is <= x.
+def sieve_limit(x: int, k: int) -> int:
+    """floor(x^(1/k)), the largest p whose p^k can be <= x.
 
-    Only primes p <= floor(x^(1/k)) can appear in a sum bounded by x, so
-    the sieve stops there.
+    Only primes up to it can appear in a sum bounded by x, so every
+    sieve for (x, k) stops there.  Raises ValueError if k or x is out of
+    range and SieveMemoryError if the sieve is past its budget.
     """
     check_power(k)
     check_uint128(x, "x")
     root = integer_kth_root(x, k)
-    return build_from_primes(primes_up_to(root), k, x)
+    check_budget(root)
+    return root
+
+
+def build(x: int, k: int) -> PowerPrefixSums:
+    """Prefix sums covering every prime whose k-th power is <= x."""
+    return build_from_primes(primes_up_to(sieve_limit(x, k)), k, x)

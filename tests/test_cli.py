@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from golden import BOUNDS_CSV_HEADER, BOUNDS_CSV_ROWS, COUNT_TABLES
+from golden import BOUNDS_CSV_HEADER, BOUNDS_CSV_ROWS, COUNT_TABLES, direct_sums
 from primesums import cli, sieve
 from primesums.cli import main, parse_x
 
@@ -192,10 +192,10 @@ def test_bare_memory_error_gets_a_message(capsys, monkeypatch):
 
 
 def test_table_and_count_stream_without_the_prefix_array(capsys, monkeypatch):
-    # table and plain count read primes straight from the sieve: neither
-    # builds the prime list or the prefix array
+    # table, plain count and enumerate read primes straight from the
+    # sieve: none builds the prime list or the prefix array
     def refused(*args, **kwargs):
-        raise AssertionError("table and count must not build the prefix array")
+        raise AssertionError("table, count and enumerate must not build the prefix array")
 
     for name, module in list(sys.modules.items()):
         if name == "primesums" or name.startswith("primesums."):
@@ -209,6 +209,9 @@ def test_table_and_count_stream_without_the_prefix_array(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "count", "--k", "2", "--x", "1e12")
     assert code == 0
     assert out == "1000000000000\t2\t8867094\t3356\t78498\n"
+    code, out, _ = run_cli(capsys, "enumerate", "--k", "3", "--x", "1e9")
+    assert code == 0
+    assert out == "".join(f"{n}\t{p}\n" for n, p, _ in direct_sums(10 ** 9, 3))
     with pytest.raises(AssertionError):
         main(["count", "--k", "2", "--x", "1e5", "--distinct"])
 

@@ -5,17 +5,18 @@ from bisect import bisect_right
 import pytest
 
 from golden import COUNT_TABLES, direct_sums, naive_window_count
-from primesums.arith import UINT128_MAX
+from primesums import counting
+from primesums.arith import UINT128_MAX, integer_kth_root
 from primesums.counting import (
     count_rows,
     count_sums,
     count_up_to,
-    max_run_length,
     run_lengths,
+    start_runs,
 )
 from primesums.enumeration import enumerate_sums
-from primesums.prefix import build
-from primesums.sieve import BLOCK_ODDS, SEGMENT_BYTES
+from primesums.prefix import build, build_from_primes
+from primesums.sieve import BLOCK_ODDS, SEGMENT_BYTES, iter_primes
 
 
 @pytest.mark.parametrize(
@@ -35,9 +36,7 @@ def test_count_examples(x, k, expected):
 
 @pytest.mark.parametrize("x,k,expected", [(1000, 3, 4), (3, 2, 0), (100, 2, 4)])
 def test_max_run_length_examples(x, k, expected):
-    ps = build(x, k)
-    assert max_run_length(ps) == expected
-    assert count_sums(ps).max_run_length == expected
+    assert count_sums(build(x, k)).max_run_length == expected
 
 
 def test_report_fields():
@@ -92,6 +91,12 @@ def test_pointer_never_lags_when_first_powers_exceed_x():
     assert report.count == sum(1 for _ in enumerate_sums(ps))
 
 
+def test_primes_past_the_root_are_not_counted():
+    # 11^2 > 50 gives 11 a run of length 0, which starts no sum
+    assert count_sums(build_from_primes([2, 3, 5, 7, 11], 2, 50)) == count_sums(build(50, 2))
+    assert count_sums(build_from_primes([11, 13], 2, 50)) == (50, 2, 0, 0, 0)
+
+
 @pytest.mark.parametrize(
     "powers,x,expected",
     [
@@ -118,6 +123,19 @@ def test_run_lengths_reads_one_power_past_the_first_run():
     runs = run_lengths(powers(), 40)
     assert next(runs) == 3  # 4 + 9 + 25
     assert read == [2, 3, 5, 7]
+
+
+@pytest.mark.parametrize("trim", [1, 2, 7])
+def test_start_runs_across_trims(monkeypatch, trim):
+    # the prefix sums behind the start are dropped every TRIM_STARTS starts
+    monkeypatch.setattr(counting, "TRIM_STARTS", trim)
+    for x, k in ((10 ** 6, 2), (10 ** 9, 3)):
+        rows = [
+            (ft - fb, p, m)
+            for p, fb, ends in start_runs(iter_primes(integer_kth_root(x, k)), k, x)
+            for m, ft in enumerate(ends, 1)
+        ]
+        assert rows == direct_sums(x, k)
 
 
 def prefix_counts(xs, k):

@@ -4,7 +4,9 @@ Counting, the length histogram, the enumerator and the CLI writer all
 read the run ends of one sweep, and the duplicate searches sort 64-bit
 keys of the same runs; here random (x, k) pairs compare each of them
 against golden.direct_sums, which sums term by term from trial-division
-primes and shares no code with the package.
+primes and shares no code with the package.  The enumerator and the CLI
+writer both read counting.start_runs, which is also checked on its own
+for how far ahead of its starts it reads.
 """
 
 import io
@@ -16,11 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from golden import direct_sums
+from golden import direct_sums, trial_primes
 from primesums import duplicates
 from primesums.cli import main
-from primesums.arith import UINT128_MAX
-from primesums.counting import count_rows, count_sums, count_up_to
+from primesums.arith import UINT128_MAX, integer_kth_root
+from primesums.counting import count_rows, count_sums, count_up_to, start_runs
 from primesums.duplicates import (
     distinct_count,
     find_cross_power_duplicates,
@@ -61,6 +63,36 @@ def test_cli_enumerate_matches_direct_sums(case):
     assert code == 0
     rows = direct_sums(x, k)
     assert out.getvalue() == "".join(f"{n}\t{p}\n" for n, p, _ in rows)
+
+
+@settings(deadline=None)
+@given(cases, st.integers(1, 20))
+def test_start_runs_holds_only_its_window(case, extra):
+    x, k = case
+    root = integer_kth_root(x, k)
+    below = trial_primes(root)
+    # the stream runs extra primes past the root, whose powers exceed x
+    primes = trial_primes(2 * root + 200)[: len(below) + extra]
+    read = 0
+
+    def counted():
+        nonlocal read
+        for p in primes:
+            read += 1
+            yield p
+
+    rows = []
+    starts = []
+    for b, (p, fb, ends) in enumerate(start_runs(counted(), k, x)):
+        # the start's run and the one power that ends it, no further
+        assert read <= b + len(ends) + 2
+        starts.append(p)
+        rows.extend((ft - fb, p, m) for m, ft in enumerate(ends, 1))
+    assert rows == direct_sums(x, k)
+    # starts past the root have no run and yield no sums; the first of
+    # them ends the stream
+    assert starts == below
+    assert read == len(below) + 1
 
 
 @settings(deadline=None)
