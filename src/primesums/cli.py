@@ -38,7 +38,10 @@ def parse_x(text: str) -> int:
     """Exact integer from decimal digits or <mantissa>e<exponent> form.
 
     "1e38" means the exact integer 10^38; no float round-trip happens
-    anywhere, so inputs beyond double precision stay exact.
+    anywhere, so inputs beyond double precision stay exact.  An exponent
+    form past 4300 digits, Python's default limit for printing an int,
+    is refused before 10^exponent is computed, which alone takes seconds
+    at an exponent of 10^7.
     """
     s = text.strip().lower()
     mantissa, sep, exponent = s.partition("e")
@@ -46,7 +49,10 @@ def parse_x(text: str) -> int:
         if mantissa == "":
             mantissa = "1"
         if mantissa.isdigit() and exponent.isdigit():
-            return int(mantissa) * 10 ** int(exponent)
+            m, e = int(mantissa), int(exponent)
+            if len(str(m)) + e > 4300:
+                raise UsageError(f"cannot parse {text!r}: more than 4300 digits")
+            return m * 10 ** e
     elif s.isdigit():
         return int(s)
     raise UsageError(f"cannot parse {text!r}: expected digits or <int>e<int>")

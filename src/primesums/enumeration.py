@@ -5,9 +5,9 @@ once per witness (b, t), ordered by start index and then length:
 counting.start_runs walks b and hands over each start's prime with the
 prefix sums of its run.  The stream is a generator, so a billion
 representations never need to sit in memory at once.  The CLI's
-enumerate reads start_runs over the sieve's stream of primes, without
-the prime list or the prefix array; enumerate_sums reads it over the
-primes of a PowerPrefixSums.
+enumerate and smallest_elements read start_runs over the sieve's
+stream of primes, without the prime list or the prefix array;
+enumerate_sums reads it over the primes of a PowerPrefixSums.
 """
 
 from collections import Counter
@@ -15,7 +15,8 @@ from typing import Iterator, NamedTuple
 
 from .arith import UINT128_MAX
 from .counting import run_lengths_of, start_runs
-from .prefix import PowerPrefixSums, build
+from .prefix import PowerPrefixSums, sieve_limit
+from .sieve import iter_primes
 
 
 class Representation(NamedTuple):
@@ -55,7 +56,7 @@ def length_histogram(ps: PowerPrefixSums) -> dict:
     """
     runs = Counter(run_lengths_of(ps))
     hist = {}
-    acc = sum(runs.values()) - runs[0]  # starts with a run of length >= 1
+    acc = sum(runs.values())  # every start: each has a run of length >= 1
     for m in range(1, max(runs, default=0) + 1):
         hist[m] = acc
         acc -= runs[m]
@@ -76,8 +77,8 @@ def smallest_elements(k: int, count: int) -> list:
     x = 1 << (k + 4)
     while True:
         x = min(x, UINT128_MAX)
-        ps = build(x, k)
-        seen = {rep.n for rep in enumerate_sums(ps)}
+        primes = iter_primes(sieve_limit(x, k))
+        seen = {ft - fb for _, fb, ends in start_runs(primes, k, x) for ft in ends}
         if len(seen) >= count:
             return sorted(seen)[:count]
         if x == UINT128_MAX:

@@ -7,7 +7,9 @@ same sieve, and one segment at a time, so primes stream out in
 ascending order without the whole range ever being in memory: at most
 the base primes, one segment of flags and one sub-block's list of
 primes.  A table needs one pass: counting.count_rows sieves once, up to
-its largest row's root, and shares the primes between its rows.
+its largest row's root, raises each sub-block's primes to the k-th
+power and pushes that one list through every open row's window, so no
+block is kept once the rows have taken it.
 
 Primes leave the sieve in one way only, prime_blocks: each sub-block of
 BLOCK_ODDS flags selects from the fixed list of even offsets 0, 2, 4,

@@ -20,7 +20,8 @@ def test_parse_x_exact():
     assert parse_x("2e7") == 2 * 10 ** 7
     assert parse_x("e5") == 10 ** 5
     assert parse_x("1000000000000000000000") == 10 ** 21
-    for bad in ("abc", "1.5e3", "-4", "2e-3", ""):
+    assert parse_x("9e4299") == 9 * 10 ** 4299  # 4300 digits, Python's print limit
+    for bad in ("abc", "1.5e3", "-4", "2e-3", "", "1e4300", "12e4299"):
         with pytest.raises(ValueError):
             parse_x(bad)
 
@@ -154,6 +155,13 @@ def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys, "count", "--k", "2")[0] == 1
     assert run_cli(capsys, "bogus")[0] == 1
     assert run_cli(capsys, "count", "--k", "2", "--x", "1e40")[0] == 1
+
+
+def test_huge_exponent_is_a_usage_error_naming_the_input(capsys):
+    # refused before 10**exponent, which alone takes seconds, is computed
+    code, out, err = run_cli(capsys, "count", "--k", "2", "--x", "1e10000000")
+    assert (code, out) == (1, "")
+    assert err == "usage error: argument --x: invalid parse_x value: '1e10000000'\n"
 
 
 def test_resource_errors_exit_two(capsys):

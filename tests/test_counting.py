@@ -16,7 +16,7 @@ from primesums.counting import (
 )
 from primesums.enumeration import enumerate_sums
 from primesums.prefix import build, build_from_primes
-from primesums.sieve import BLOCK_ODDS, SEGMENT_BYTES, iter_primes
+from primesums.sieve import BLOCK_ODDS, SEGMENT_BYTES, iter_primes, prime_blocks
 
 
 @pytest.mark.parametrize(
@@ -191,10 +191,26 @@ def test_count_rows_edge_cases():
         next(rows)
 
 
+def test_table_sieves_once_to_the_largest_root(monkeypatch):
+    # every row reads the same sieve pass; one pass per row would call
+    # prime_blocks once for each of the ten rows
+    limits = []
+
+    def recorded(limit):
+        limits.append(limit)
+        return prime_blocks(limit)
+
+    monkeypatch.setattr(counting, "prime_blocks", recorded)
+    xs = [10 ** e for e in range(3, 13)]
+    assert [r.count for r in count_rows(xs, 2)] == [c for _, c, _, _ in COUNT_TABLES[2][:10]]
+    assert limits == [10 ** 6]
+
+
 def test_finished_row_releases_the_shared_powers():
-    # the 10^3 row is done within the first batch; were it to keep its tee
-    # iterator, the tee would buffer every one of the 78,498 powers of the
-    # 10^12 row (about 3 MB), where the lag between the rows is ~3,400
+    # the 10^3 row closes within the first sieve block, and each block's
+    # powers are dropped once every open row has taken them, so only the
+    # 10^12 row's window (~3,400 powers) outlives a block; holding all
+    # 78,498 powers of the 10^12 row would take about 3 MB
     tracemalloc.start()
     try:
         reports = list(count_rows([10 ** 3, 10 ** 12], 2))
