@@ -25,8 +25,8 @@ from .prefix import build, sieve_limit
 from .sieve import iter_primes
 
 
-class UsageError(ValueError):
-    """Bad flags or flag values; maps to exit status 1."""
+class UsageError(ValueError, argparse.ArgumentTypeError):
+    """Bad flags or flag values; exit status 1.  argparse prints its text as is."""
 
 
 class _Parser(argparse.ArgumentParser):

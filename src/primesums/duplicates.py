@@ -1,23 +1,30 @@
 """Integers with more than one representation as a consecutive run.
 
 Every run is a window f[b+m] - f[b] of the prefix sums.  The search
-sorts 64-bit keys instead of the sums: with g = C*f mod 2^64 for an odd
-constant C, the key g[b+m] - g[b] of a window equals C*n mod 2^64, so
-equal sums always get equal keys, and all keys of one length m come
-from a single numpy subtraction.  Sorting the keys and comparing
-neighbours finds every key that repeats.  Each window with such a key
-is then mapped back to its exact Python-int sum, regrouped on it and
-checked by direct summation, which drops windows that only share a key
-(possible once x >= 2^64).  The cross-power search sorts the keys of
-every exponent together and keeps the groups that span two exponents.
+sorts 64-bit keys instead of the sums: with g = f mod 2^64, a window's
+key g[b+m] - g[b] is n mod 2^64, which is n itself when x < 2^64.  The
+starts 0 .. reach-1 whose run has m or more terms form the block
+(k, m); one numpy subtraction gives all its keys, and sorting the keys
+and comparing neighbours finds every key that repeats.
 
-Multiplying by C spreads even small sums over the whole key range, so
-a job with more keys than the in-memory cap sorts one slice of
-[0, 2^64) per pass: memory stays bounded and nothing is written to
-disk.  numpy is imported by the search itself, so commands that never
-search for duplicates do not pay for loading it.
+A job with more keys than the in-memory cap sorts one value slice per
+pass, P = ceil(keys / cap) in all: slice i holds the sums from
+v_i = x * (i/P)^((k+1)/2), as the runs up to v number about
+v^(2/(k+1)).  For fixed m the sums rise with b, so a block's part of a
+slice is one range of starts, found by bisection on the exact sums.
+
+Equal sums share a slice, so each slice's repeated keys are searched
+back into its own ranges.  These are cut into pieces whose sums span
+less than 2^64 (one piece when x < 2^64), where the keys minus the
+first key ascend as the exact sums do.  The windows found are regrouped
+on their exact Python-int sums, which drops windows that only share a
+key, and checked by direct summation.  The cross-power search sorts
+the keys of every exponent together and keeps the groups that span two
+exponents.  numpy is imported by the search itself, so commands that
+never search for duplicates do not pay for loading it.
 """
 
+from bisect import bisect_left
 from typing import NamedTuple
 
 from .counting import count_sums
@@ -26,9 +33,7 @@ from .prefix import PowerPrefixSums, build
 
 DEFAULT_MAX_IN_MEMORY = 50_000_000
 
-# odd, so multiplying by it permutes the residues mod 2^64
-_SCRAMBLE = 0x9E3779B97F4A7C15
-_MASK64 = (1 << 64) - 1
+_WRAP = 1 << 64
 
 
 class DuplicateGroup(NamedTuple):
@@ -38,64 +43,57 @@ class DuplicateGroup(NamedTuple):
     members: tuple  # two or more Representation, sorted by (k, start_prime)
 
 
-def _key_table(np, ps: PowerPrefixSums):
-    """g = C*f mod 2^64, and for m = 1, 2, ... the number of starts with a run of m or more terms."""
-    g = np.fromiter(
-        ((v * _SCRAMBLE) & _MASK64 for v in ps.f), dtype=np.uint64, count=len(ps.f)
-    )
+def _window_sum(f: list, m: int):
+    return lambda b: f[b + m] - f[b]  # rises with the start b
+
+
+def _value_slices(ps_by_k: dict, max_in_memory: int) -> list:
+    """Per pass, the ranges (k, m, lo, hi) of starts whose sums lie in its value slice."""
     # runs never lengthen as b grows, so the starts whose run has m or
-    # more terms are exactly 0 .. reach[m - 1] - 1
-    reach = list(length_histogram(ps).values())
-    return g, reach
+    # more terms are exactly 0 .. reach - 1
+    blocks = [
+        (k, m, reach)
+        for k, ps in ps_by_k.items()
+        for m, reach in enumerate(length_histogram(ps).values(), 1)
+    ]
+    passes = max(1, -(-sum(reach for *_, reach in blocks) // max_in_memory))
+    x = max(ps.x for ps in ps_by_k.values())
+    power = (min(ps_by_k) + 1) / 2
+    bounds = [int(x * (i / passes) ** power) for i in range(1, passes)]
+    slices = [[] for _ in range(passes)]
+    for k, m, reach in blocks:
+        window = _window_sum(ps_by_k[k].f, m)
+        cuts = [0] + [bisect_left(range(reach), v, key=window) for v in bounds] + [reach]
+        for parts, lo, hi in zip(slices, cuts, cuts[1:]):
+            if lo < hi:
+                parts.append((k, m, lo, hi))
+    return slices
 
 
-def _windows(tables: dict):
-    """Yield (k, m, keys of the length-m windows indexed by start b) for every k and m."""
-    for k, (g, reach) in tables.items():
-        for m, count in enumerate(reach, 1):
-            yield k, m, g[m : m + count] - g[:count]
-
-
-def _repeated_keys(np, tables: dict, max_in_memory: int):
-    """Sorted distinct keys that two or more windows share.
-
-    Pass i sorts the keys whose top 32 bits t have (t * passes) >> 32
-    == i, with as many passes as it takes to hold about max_in_memory
-    keys at once; a first pass counts each slice so that every buffer
-    is allocated at its exact size.
-    """
-    total = sum(sum(reach) for _, reach in tables.values())
-    passes = max(1, -(-total // max_in_memory))
-    if passes == 1:
-        return _slice_repeats(np, tables, total, None, None)
-    shift = np.uint64(32)
-    sizes = np.zeros(passes, dtype=np.int64)
-    for _, _, keys in _windows(tables):
-        slices = ((keys >> shift) * np.uint64(passes)) >> shift
-        sizes += np.bincount(slices.astype(np.intp), minlength=passes)
-    # slice i holds the keys from starts[i] up to, not including, starts[i + 1]
-    starts = [-(-(i << 32) // passes) << 32 for i in range(passes + 1)]
-    return np.concatenate([
-        _slice_repeats(np, tables, size, np.uint64(lo), np.uint64(hi - lo))
-        for size, lo, hi in zip(sizes.tolist(), starts, starts[1:])
-    ])
-
-
-def _slice_repeats(np, tables: dict, size: int, lo, width):
-    """Sorted distinct shared keys among those with (key - lo) mod 2^64 < width.
-
-    width None takes every key.  The slice's buffer is freed on return,
-    before the next pass fills its own.
-    """
-    out = np.empty(size, dtype=np.uint64)
+def _repeated_keys(np, keys_of: dict, parts: list):
+    """Sorted distinct keys that two or more windows of the parts share."""
+    out = np.empty(sum(hi - lo for *_, lo, hi in parts), dtype=np.uint64)
     pos = 0
-    for _, _, keys in _windows(tables):
-        if width is not None:
-            keys = np.compress(keys - lo < width, keys)
-        out[pos : pos + len(keys)] = keys
-        pos += len(keys)
+    for k, m, lo, hi in parts:
+        g = keys_of[k]
+        np.subtract(g[lo + m : hi + m], g[lo:hi], out=out[pos : pos + hi - lo])
+        pos += hi - lo
     out.sort()
     return np.unique(out[1:][out[1:] == out[:-1]])
+
+
+def _hits(np, window, g, m: int, lo: int, hi: int, repeated):
+    """Starts in lo..hi-1 whose length-m window has one of the repeated keys."""
+    while lo < hi:
+        # the piece lo..end-1 has sums below window(lo) + 2^64
+        top = window(lo) + _WRAP
+        end = hi if window(hi - 1) < top else bisect_left(range(hi), top, lo, key=window)
+        keys = g[lo + m : end + m] - g[lo:end]
+        targets = repeated - keys[0]
+        keys -= keys[0]  # the exact sums minus window(lo), ascending
+        pos = np.minimum(np.searchsorted(keys, targets), len(keys) - 1)
+        yield from (pos[keys[pos] == targets] + lo).tolist()
+        lo = end
 
 
 def _verified_member(ps: PowerPrefixSums, n: int, b: int, m: int) -> Representation:
@@ -123,27 +121,24 @@ def _duplicate_groups(ps_by_k: dict, max_in_memory: int) -> list:
         raise ValueError(f"max_in_memory must be positive, got {max_in_memory}")
     import numpy as np
 
-    tables = {k: _key_table(np, ps) for k, ps in ps_by_k.items()}
-    repeated = _repeated_keys(np, tables, max_in_memory)
-    # a bitmap over the top 16 bits of the repeated keys passes only a
-    # few windows on to the exact membership test; 16-bit values index
-    # it as an int64 view, which numpy gathers faster than uint64
-    shift = np.uint64(48)
-    near = np.zeros(1 << 16, dtype=bool)
-    near[(repeated >> shift).view(np.int64)] = True
+    keys_of = {
+        k: np.fromiter((v % _WRAP for v in ps.f), dtype=np.uint64, count=len(ps.f))
+        for k, ps in ps_by_k.items()
+    }
     rows_by_n = {}
-    for k, m, keys in _windows(tables):
-        hits = np.flatnonzero(np.take(near, (keys >> shift).view(np.int64)))
-        if len(hits):
-            hits = hits[np.isin(keys[hits], repeated)]
-        f = ps_by_k[k].f
-        for b in hits.tolist():
-            rows_by_n.setdefault(f[b + m] - f[b], []).append((k, b, m))
+    for parts in _value_slices(ps_by_k, max_in_memory):
+        repeated = _repeated_keys(np, keys_of, parts)
+        if not len(repeated):
+            continue
+        for k, m, lo, hi in parts:
+            window = _window_sum(ps_by_k[k].f, m)
+            for b in _hits(np, window, keys_of[k], m, lo, hi, repeated):
+                rows_by_n.setdefault(window(b), []).append((k, b, m))
     groups = []
     for n in sorted(rows_by_n):
         rows = rows_by_n[n]
         # a cross-power group needs runs under two exponents
-        if len(rows if len(tables) == 1 else {row[0] for row in rows}) > 1:
+        if len(rows if len(ps_by_k) == 1 else {row[0] for row in rows}) > 1:
             groups.append(_group(ps_by_k, n, rows))
     return groups
 

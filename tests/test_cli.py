@@ -161,7 +161,10 @@ def test_huge_exponent_is_a_usage_error_naming_the_input(capsys):
     # refused before 10**exponent, which alone takes seconds, is computed
     code, out, err = run_cli(capsys, "count", "--k", "2", "--x", "1e10000000")
     assert (code, out) == (1, "")
-    assert err == "usage error: argument --x: invalid parse_x value: '1e10000000'\n"
+    assert err == "usage error: argument --x: cannot parse '1e10000000': more than 4300 digits\n"
+    code, out, err = run_cli(capsys, "count", "--k", "2", "--x", "abc")
+    assert (code, out) == (1, "")
+    assert err == "usage error: argument --x: cannot parse 'abc': expected digits or <int>e<int>\n"
 
 
 def test_resource_errors_exit_two(capsys):

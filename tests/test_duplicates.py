@@ -55,6 +55,13 @@ def test_small_memory_cap_same_results_no_files(tmp_path, monkeypatch):
     capped_cross = find_cross_power_duplicates(10 ** 5, {2, 3}, max_in_memory=100)
     assert capped_cross == cross
     assert distinct_count(10 ** 8, 2, **capped) == distinct_count(10 ** 8, 2)
+    # past 2^64 the value slices (13 and 14 passes) meet the cut of
+    # each range of starts into pieces spanning less than 2^64
+    past = dict(max_in_memory=10 ** 4)
+    x = 10 ** 30
+    assert find_duplicates(x, 8, **past) == find_duplicates(x, 8)
+    assert distinct_count(x, 8, **past) == distinct_count(x, 8)
+    assert find_cross_power_duplicates(x, {8, 10}, **past) == find_cross_power_duplicates(x, {8, 10})
     assert os.listdir(temp) == []
 
 

@@ -12,24 +12,24 @@ for how far ahead of its starts it reads.
 import io
 from collections import Counter
 from contextlib import redirect_stdout
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golden import direct_sums, trial_primes
-from primesums import duplicates
 from primesums.cli import main
 from primesums.arith import UINT128_MAX, integer_kth_root
 from primesums.counting import count_rows, count_sums, count_up_to, start_runs
 from primesums.duplicates import (
+    DEFAULT_MAX_IN_MEMORY,
     distinct_count,
     find_cross_power_duplicates,
     find_duplicates,
+    find_duplicates_from_prefix,
 )
 from primesums.enumeration import enumerate_sums, length_histogram
-from primesums.prefix import build
+from primesums.prefix import build, build_from_primes
 
 # x stays below 10^7 so that direct_sums, quadratic in the prime
 # count, keeps each example to milliseconds
@@ -178,12 +178,15 @@ def test_duplicate_searches_past_64_bits():
 
 
 def test_colliding_keys_are_separated_by_exact_sums():
-    # an even multiplier maps every sum to one of two keys, so nearly
-    # every pair of runs shares a key and only the exact regrouping on
-    # Python-int sums can tell them apart
-    with mock.patch.object(duplicates, "_SCRAMBLE", 1 << 63):
-        for cap in (10 ** 6, 1000):
-            found = find_duplicates(10 ** 8, 2, max_in_memory=cap)
-            assert found_duplicates(found) == brute_duplicates(10 ** 8, 2)
-            cross = find_cross_power_duplicates(10 ** 5, {2, 3}, max_in_memory=cap)
-            assert found_cross(cross) == brute_cross(10 ** 5, {2, 3})
+    # keys are sums mod 2^64: the two squares below differ by exactly
+    # 2^64, so they share a key and only the exact sums tell them apart;
+    # the second list is a real duplicate, 9 + 16 = 25 times 2^120
+    near, far = 2 ** 62 - 1, 2 ** 62 + 1
+    collide = build_from_primes([near, far], 2, far ** 2)
+    ladder = [3 * 2 ** 60, 4 * 2 ** 60, 5 * 2 ** 60]
+    real = build_from_primes(ladder, 2, ladder[-1] ** 2)
+    for cap in (1, 2, DEFAULT_MAX_IN_MEMORY):
+        assert find_duplicates_from_prefix(collide, cap) == []
+        (group,) = find_duplicates_from_prefix(real, cap)
+        assert group.n == ladder[-1] ** 2
+        assert [(m.start_index, m.length) for m in group.members] == [(0, 2), (2, 1)]
