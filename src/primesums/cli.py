@@ -59,16 +59,21 @@ def parse_x(text: str) -> int:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    # a UsageError's text reaches the user; argparse would replace a
+    # plain ValueError's with its own, naming this function
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # refused below with the same message
     if value < 1:
-        raise ValueError(f"expected a positive integer, got {text}")
+        raise UsageError(f"expected a positive integer, got {text}")
     return value
 
 
 def _parse_ks(text: str) -> tuple:
     parts = [piece.strip() for piece in text.split(",")]
     if not all(piece.isdigit() for piece in parts):
-        raise ValueError(f"expected a comma-separated exponent list, got {text!r}")
+        raise UsageError(f"expected a comma-separated exponent list, got {text!r}")
     return tuple(int(piece) for piece in parts)
 
 

@@ -1,27 +1,46 @@
 """Counting runs of consecutive prime powers without enumerating them.
 
-The count (with multiplicity) is the sum, over every start b, of the
-length of the longest run p_{b+1}^k + ... + p_{b+m}^k that stays <= x.
-Because the powers are positive, the end of that run never moves back
-as b grows, so a _Window sweeps once across an ascending stream of
-powers: it adds each new power, and while the window sum exceeds x the
-first start's run is complete.  _Window.runs is the package's only
-two-pointer loop.  The sweep holds only the current window, so counting
-needs no prime list and no prefix array: the sieve's stream of primes
-feeds it directly, and the count costs O(pi(x^(1/k))) time in
-O(sqrt(x^(1/k))) memory plus the longest run.
+The count (with multiplicity) is the sum, over every start b, of
+run_b, the length of the longest run p_b^k + ... + p_{b+m-1}^k that
+stays <= x.  Because the powers are positive, the end of that run never
+moves back as b grows, so a _Window sweeps once across an ascending
+stream of powers: it adds each new power, and while the window sum
+exceeds x the first start's run is complete.  _Window.runs is the
+package's only two-pointer loop.  The sweep holds only the current
+window, so it needs no prime list and no prefix array.
 
-count_rows counts a whole table from one sieve pass: the sieve runs once,
-up to the largest row's root, each sub-block's primes are raised to the
-k-th power once, and that list of powers is pushed, row by row, through
-the window of every row still open.  A row whose x the block's last
-power passes takes the powers up to its x, found by one bisect_right,
-and reports; the rows ascend, so they close in order.  No power waits
-for a slower row, so the memory is the sieve's base primes and one
-segment, one block's powers, and each open row's window.  count_up_to
-is its one-row case, and count_sums pushes a prefix array's primes
-through the same loop.  The length histogram, which the duplicate
-search reads, runs a window over the powers up to x.
+Runs shrink as the start grows, and most starts have runs of a few
+terms, which follow from prime counts alone.  Let c_j be the number of
+starts whose first j terms sum to at most x.  Then, for any L,
+
+    count = c_1 + ... + c_L + sum over b of max(run_b - L, 0).
+
+The sum on the right needs only the starts with runs longer than L, so
+a row's sweep stops at the first run of L terms or fewer; the first
+run, the longest, is max_run_length.  Each c_j is found at its
+crossover g_j = floor((x/j)^(1/k)): a start past g_j has j terms above
+g_j^k, and a start whose j-th term is at most g_j has j terms at most
+g_j^k, so c_j is pi(g_j) - j + 1 plus those of the next j - 1 starts
+whose sums stay <= x, and only the 2j - 2 primes around g_j decide it.
+c_1 = pi(x^(1/k)) is prime_count.  L is the first j at which
+g_j - g_{j+1} < 2 * BLOCK_ODDS: past it, every sieve sub-block would
+hold a crossover anyway.  So L follows from the block size and (x, k)
+alone; it is 98 for x = 10^15, k = 2, 30 for 10^20, k = 3, and 1 for
+every square row below 3128836096.
+
+count_rows counts a whole table from one sieve pass up to the largest
+row's root.  The sieve hands over each sub-block's flags; pi(g) is a
+running count of the flags up to g, made in C.  A sub-block's primes
+are extracted and raised to the k-th power only while some row still
+sweeps, or when a crossover needs the primes around it, and a sub-block
+is kept only until its crossovers are counted.  A row is reported, in
+order, as soon as its sweep is over and its crossovers are counted.
+The memory is the sieve's base primes and one segment, one block's
+powers, each sweeping row's window and the few blocks around pending
+crossovers.  count_up_to is the one-row case.  count_sums runs the same
+row over a prefix array: it sweeps ps.primes, takes each pi(g_j) by
+bisection, and each c_j by bisection of ps.f.  The length histogram,
+which the duplicate search reads, runs a window over the powers up to x.
 
 Enumeration streams too: start_runs drives run_lengths over a stream of
 primes and keeps the prefix sums only from the current start on, so
@@ -29,20 +48,19 @@ each start's sums come out as soon as its run is known, in the memory
 of the longest run.  It is the one loop that turns runs into sums, for
 enumeration.enumerate_sums and the CLI's enumerate alike.
 
-A report comes straight from the runs, in start order: only powers <= x
-enter a window, so every start has a run of at least one term.  The
-count is the runs' sum, prime_count the number of starts, and
-max_run_length the first run, which is the longest because the powers
-ascend.
+Only powers <= x enter a window, so every start has a run of at least
+one term.
 """
 
 from bisect import bisect_right
 from collections import deque
-from itertools import repeat, takewhile
+from itertools import accumulate, chain, repeat, takewhile
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
+from .arith import integer_kth_root
 from .prefix import PowerPrefixSums, check_power, sieve_limit
-from .sieve import BLOCK_ODDS, SieveMemoryError, prime_blocks
+from .sieve import BLOCK_ODDS, SieveMemoryError, block_primes, sieve_blocks
 
 # starts start_runs yields between drops of the prefix sums behind them
 TRIM_STARTS = 1 << 12
@@ -141,70 +159,221 @@ def run_lengths_of(ps: PowerPrefixSums) -> Iterator[int]:
     return run_lengths(takewhile(ps.x.__ge__, map(pow, ps.primes, repeat(ps.k))), ps.x)
 
 
-class _Tally(_Window):
-    """One row's window, with the sum of the runs it has completed and the first of them."""
+class _Row:
+    """One row: the sweep of its long runs and the counts at its crossovers.
 
-    __slots__ = ("count", "first")
-
-    def __init__(self, x: int):
-        super().__init__(x)
-        self.count = self.first = 0
-
-    def push(self, powers: Iterable[int]) -> None:
-        """Push ascending powers, all <= x, through the window."""
-        runs = self.runs(powers)
-        if not self.count:
-            # no start has completed its run before these
-            self.count = self.first = next(runs, 0)
-        self.count += sum(runs)
-
-    def report(self, k: int, primes: int) -> CountReport:
-        """The row's report, once primes powers in all have been pushed."""
-        # each open start runs to the end; the first of them is the
-        # first start, unless an earlier one has completed its run
-        rest = self.rest()
-        first = self.first or len(rest)
-        return CountReport(self.x, k, self.count + sum(rest), first, primes)
-
-
-def _reports(xs: list, k: int, blocks: Iterable[list]) -> Iterator[CountReport]:
-    """A report for each x of the ascending xs, from ascending lists of primes.
-
-    Each list's primes are raised to the k-th power once, and the powers
-    are pushed through the window of every open row in turn.  A row
-    whose x the list's last power passes takes the powers up to its x
-    and is reported at once; the rows ascend, so they close in order,
-    and the rows still open when the lists run out report then.
+    crossovers[j - 1] is g_j = floor((x/j)^(1/k)) for j = 1 .. L, where
+    L is the first j at which g_j - g_{j+1} < 2 * BLOCK_ODDS, and never
+    more than terms, a bound on the terms of any run.  count adds up
+    max(run - L, 0) over the swept starts and c_j at each crossover.
     """
-    tallies = deque(map(_Tally, xs))
-    seen = 0  # primes in the lists before this one
-    for primes in blocks:
-        powers = list(map(pow, primes, repeat(k)))
-        while powers and tallies and powers[-1] > tallies[0].x:
-            tally = tallies.popleft()
-            cut = bisect_right(powers, tally.x)
-            tally.push(powers[:cut])
-            yield tally.report(k, seen + cut)
-        for tally in tallies:
-            tally.push(powers)
-        seen += len(powers)
-    for tally in tallies:
-        yield tally.report(k, seen)
+
+    __slots__ = ("x", "k", "crossovers", "window", "count", "first", "primes", "open")
+
+    def __init__(self, x: int, k: int, terms: int):
+        g = [integer_kth_root(x, k)]
+        while len(g) < terms:
+            after = integer_kth_root(x // (len(g) + 1), k)
+            if g[-1] - after < 2 * BLOCK_ODDS:
+                break
+            g.append(after)
+        self.x = x
+        self.k = k
+        self.crossovers = g
+        self.window = _Window(x)  # None once the sweep is over
+        self.count = self.first = self.primes = 0
+        self.open = len(g)  # crossovers not yet counted
+
+    @property
+    def root(self) -> int:
+        return self.crossovers[0]
+
+    def push(self, powers: list) -> None:
+        """Sweep ascending powers until a run of L terms or fewer completes.
+
+        A power past x ends the row's powers: the rest of the list is
+        dropped and the open starts run to the end.
+        """
+        if self.window is None:
+            return
+        ended = powers and powers[-1] > self.x
+        if ended:
+            powers = powers[: bisect_right(powers, self.x)]
+        long = len(self.crossovers)
+        runs = self.window.runs(powers)
+        if not self.first:
+            # the first run to complete is the first start's, the longest
+            self.first = next(runs, 0)
+            runs = chain((self.first,), runs) if self.first else runs
+        total = 0
+        for run in runs:
+            if run <= long:
+                self.window = None  # no later run is longer
+                break
+            total += run - long
+        self.count += total
+        if ended:
+            self.end()
+
+    def end(self) -> None:
+        """No powers are left: each open start runs to the end."""
+        if self.window is not None:
+            # the open runs are len(open), len(open) - 1, ..., 1, and
+            # those past L terms add 1 + 2 + ... + over
+            over = len(self.window.open) - len(self.crossovers)
+            self.first = self.first or len(self.window.open)
+            self.count += over * (over + 1) // 2 if over > 0 else 0
+            self.window = None
+
+    def cross(self, j: int, starts: int) -> None:
+        """Count c_j, the starts whose first j terms sum to at most x."""
+        self.count += starts
+        if j == 1:
+            self.primes = starts
+        self.open -= 1
+
+    def done(self) -> bool:
+        return self.window is None and not self.open
+
+    def report(self) -> CountReport:
+        return CountReport(self.x, self.k, self.count, self.first, self.primes)
+
+
+def _starts_within(f: list, j: int, x: int, lo: int, hi: int) -> int:
+    """lo plus the starts i in lo .. hi - 1 with f[i + j] - f[i] <= x.
+
+    f is a prefix sum of ascending powers, so those sums rise with i and
+    one bisection finds the first start past x.
+    """
+    if hi <= lo:
+        return lo
+    return bisect_right(range(hi), x, lo, key=lambda i: f[i + j] - f[i])
 
 
 def count_sums(ps: PowerPrefixSums) -> CountReport:
-    """The CountReport of ps, its primes pushed in lists of BLOCK_ODDS."""
-    blocks = (ps.primes[i : i + BLOCK_ODDS] for i in range(0, len(ps.primes), BLOCK_ODDS))
-    return next(_reports([ps.x], ps.k, blocks))
+    """The CountReport of ps.
+
+    The row's long runs are swept over the primes in lists of
+    BLOCK_ODDS, and each crossover's pi(g_j) is a bisection of the
+    primes, its c_j a bisection of ps.f.
+    """
+    x, primes, f = ps.x, ps.primes, ps.f
+    row = _Row(x, ps.k, len(primes))
+    for i in range(0, len(primes), BLOCK_ODDS):
+        if row.window is None:
+            break
+        row.push(list(map(pow, primes[i : i + BLOCK_ODDS], repeat(ps.k))))
+    row.end()
+    for j, g in enumerate(row.crossovers, 1):
+        below = bisect_right(primes, g)
+        row.cross(j, _starts_within(f, j, x, max(0, below - j + 1), min(below, len(f) - j)))
+    return row.report()
+
+
+class _Block:
+    """One block of the sieve: its flags, and its primes once they are needed."""
+
+    __slots__ = ("start", "stop", "first", "flags", "list")
+
+    def __init__(self, start: int, first: int, flags):
+        self.start = start  # index of the block's first prime
+        self.stop = start + flags.count(1)
+        self.first = first
+        self.flags = flags
+        self.list = None
+
+    def primes(self) -> list:
+        if self.list is None:
+            self.list = block_primes(self.first, self.flags)
+        return self.list
+
+
+def _cross(row: _Row, j: int, below: int, kept: deque) -> None:
+    """Count c_j from pi(g_j), which is below, and the kept blocks.
+
+    Only the starts from below - j + 1 to below - 1 can go either way;
+    their sums need the primes with indices below - j + 1 to
+    below + j - 2, those of them the kept blocks hold.
+    """
+    a = max(0, below - j + 1)
+    b = below + j - 1
+    near = []
+    for block in kept:
+        if block.stop > a and block.start < b:
+            near += block.primes()[max(0, a - block.start) : b - block.start]
+    f = list(accumulate(map(pow, near, repeat(row.k)), initial=0))
+    row.cross(j, a + _starts_within(f, j, row.x, 0, min(below - a, len(f) - j)))
+
+
+def _reports(rows: list, k: int, limit: int) -> Iterator[CountReport]:
+    """A report for each of the ascending rows, from one sieve pass up to limit.
+
+    Every block's primes are counted in C.  Its primes are extracted and
+    raised to the k-th power only while some row still sweeps, or when a
+    crossover needs them; a crossover at g takes pi(g) from the count of
+    the flags up to g.  A block is kept only while a crossover may still
+    need its primes.  A row is reported once its sweep is over and its
+    crossovers are counted; the rows ascend, so they complete in order.
+    """
+    unreported = deque(rows)
+    sweeping = list(rows)
+    marks = sorted(
+        ((g, j, row) for row in rows for j, g in enumerate(row.crossovers, 1)),
+        key=itemgetter(0),
+    )
+    reach = max((len(row.crossovers) for row in rows), default=1)
+    m = 0  # marks[m:] lie past the blocks so far
+    waiting = []  # (index of the last prime needed, pi(g), j, row)
+    kept = deque()
+    seen = 0  # primes in the blocks so far
+    for first, flags in sieve_blocks(limit):
+        end = first + 2 * len(flags) - 1  # every number below end is sieved
+        block = _Block(seen, first, flags)
+        kept.append(block)
+        if sweeping:
+            powers = list(map(pow, block.primes(), repeat(k)))
+            for row in sweeping:
+                row.push(powers)
+                if row.root < end:
+                    row.end()
+            sweeping = [row for row in sweeping if row.window is not None]
+        while m < len(marks) and marks[m][0] < end:
+            g, j, row = marks[m]
+            m += 1
+            below = seen + flags[: (g - first) // 2 + 1].count(1)
+            waiting.append((below + j - 2, below, j, row))
+        seen = block.stop
+        still = []
+        for need, below, j, row in waiting:
+            # a row's primes past its root add nothing to its sums
+            if need < seen or row.root < end:
+                _cross(row, j, below, kept)
+            else:
+                still.append((need, below, j, row))
+        waiting = still
+        # a crossover not yet reached needs primes from seen - reach + 1 on
+        low = min([below - j + 1 for _, below, j, _ in waiting], default=seen)
+        low = min(low, seen - reach + 1)
+        while kept and kept[0].stop <= low:
+            kept.popleft()
+        while unreported and unreported[0].done():
+            yield unreported.popleft().report()
+    # the stream is over: every prime up to the largest root is counted
+    for need, below, j, row in waiting:
+        _cross(row, j, below, kept)
+    for g, j, row in marks[m:]:
+        _cross(row, j, seen, kept)
+    for row in unreported:
+        row.end()
+        yield row.report()
 
 
 def count_rows(xs: Iterable[int], k: int) -> Iterator[CountReport]:
     """count_sums(build(x, k)) for each x of the ascending xs, from one sieve pass.
 
-    The sieve's sub-blocks of primes are the lists _reports pushes
-    through the rows' windows.  The sieve stops at the last row whose x
-    is in range and whose sieve is within budget; the first row that is
-    not raises its own error once the rows before it are out.
+    The sieve stops at the last row whose x is in range and whose sieve
+    is within budget; the first row that is not raises its own error
+    once the rows before it are out.
     """
     check_power(k)
     xs = list(xs)
@@ -218,8 +387,9 @@ def count_rows(xs: Iterable[int], k: int) -> Iterator[CountReport]:
         except (ValueError, SieveMemoryError) as err:
             error = err
             break
+    rows = [_Row(x, k, root) for x, root in zip(xs, limits)]
     # the roots ascend with the rows; with none in range there is nothing to sieve
-    yield from _reports(xs[: len(limits)], k, prime_blocks(max(limits, default=0)))
+    yield from _reports(rows, k, max(limits, default=0))
     if error is not None:
         raise error
 

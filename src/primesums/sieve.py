@@ -6,17 +6,19 @@ speed.  It holds only the base primes up to sqrt(limit), found by the
 same sieve, and one segment at a time, so primes stream out in
 ascending order without the whole range ever being in memory: at most
 the base primes, one segment of flags and one sub-block's list of
-primes.  A table needs one pass: counting.count_rows sieves once, up to
-its largest row's root, raises each sub-block's primes to the k-th
-power and pushes that one list through every open row's window, so no
-block is kept once the rows have taken it.
+primes.
 
-Primes leave the sieve in one way only, prime_blocks: each sub-block of
-BLOCK_ODDS flags selects from the fixed list of even offsets 0, 2, 4,
-... with itertools.compress, and the sub-block's first odd number is
-added to each offset kept.  So an int is made for each prime, not for
-each odd number, and the primes come out as one ascending list per
-sub-block, which iter_primes, primes_up_to and counting.count_rows read.
+Primes leave the sieve in one way only, sieve_blocks: the prime 2 on its
+own, then one (first, flags) block per sub-block of BLOCK_ODDS odd
+numbers, where flags[i] is 1 exactly when first + 2*i is prime.  The
+reader chooses what a block costs.  flags.count(1) counts its primes in
+C, which is all counting.count_rows needs of most blocks: it takes
+pi(g) at each crossover g from the count of the flags up to g.
+block_primes extracts a block's primes: it selects from the fixed list
+of even offsets 0, 2, 4, ... with itertools.compress and adds the
+block's first odd number to each offset kept, so an int is made for
+each prime, not for each odd number.  prime_blocks extracts every
+block, for iter_primes and primes_up_to.
 
 A limit whose one-byte-per-odd-number flags would exceed BUDGET_BYTES
 (2 GiB, a fixed limit past about 4.3 * 10^9) raises SieveMemoryError
@@ -29,7 +31,8 @@ from typing import Iterator
 
 BUDGET_BYTES = 1 << 31
 SEGMENT_BYTES = 1 << 18
-# odd numbers per extraction sub-block; it divides SEGMENT_BYTES
+# odd numbers per sub-block; it divides SEGMENT_BYTES, and sets how many
+# crossovers counting takes in place of a sweep
 BLOCK_ODDS = 1 << 13
 _EVEN_OFFSETS = list(range(0, 2 * BLOCK_ODDS, 2))
 
@@ -62,8 +65,8 @@ def _odd_segments(limit: int) -> Iterator[tuple]:
     """
     check_budget(limit)
     root = math.isqrt(limit)
-    blocks = _odd_prime_blocks(_odd_segments(root)) if root >= 3 else ()
-    base = list(itertools.chain.from_iterable(blocks))
+    blocks = _sub_blocks(_odd_segments(root)) if root >= 3 else ()
+    base = list(itertools.chain.from_iterable(itertools.starmap(block_primes, blocks)))
     return _sieve_segments(sieve_bytes_needed(limit), base)
 
 
@@ -85,28 +88,46 @@ def _sieve_segments(size: int, base: list) -> Iterator[tuple]:
         yield 2 * lo + 1, flags
 
 
-def _odd_prime_blocks(segments: Iterator[tuple]) -> Iterator[list]:
-    """The odd primes flagged in segments, one ascending list per sub-block."""
+def _sub_blocks(segments: Iterator[tuple]) -> Iterator[tuple]:
+    """The segments cut into (first, flags) sub-blocks of BLOCK_ODDS odd numbers."""
     for first, flags in segments:
         for i in range(0, len(flags), BLOCK_ODDS):
-            # the last sub-block may be short; compress stops with it
-            chosen = itertools.compress(_EVEN_OFFSETS, flags[i : i + BLOCK_ODDS])
-            yield list(map((first + 2 * i).__add__, chosen))
+            # the last sub-block may be short
+            yield first + 2 * i, flags[i : i + BLOCK_ODDS]
 
 
-def prime_blocks(limit: int) -> Iterator[list]:
-    """Every prime p <= limit, ascending, as a stream of lists.
+def block_primes(first: int, flags) -> list:
+    """The primes of one block, ascending: each first + 2*i whose flags[i] is 1."""
+    return list(map(first.__add__, itertools.compress(_EVEN_OFFSETS, flags)))
 
-    Each list holds the primes of one sub-block of BLOCK_ODDS odd
-    numbers (2 comes first, on its own); a list may be empty.  Raises
-    SieveMemoryError when called, before any prime is produced, if limit
-    lies past the fixed sieve budget.
+
+def sieve_blocks(limit: int) -> Iterator[tuple]:
+    """Every prime p <= limit, ascending, as a stream of (first, flags) blocks.
+
+    flags[i] is 1 exactly when first + 2*i is prime.  The first block
+    is (2, b"\x01"), the prime 2 on its own; each later one is a
+    sub-block of BLOCK_ODDS odd numbers, from 1 on, so a block starting
+    at first covers the numbers below first + 2 * len(flags) - 1 that
+    the blocks before it do not.  Raises SieveMemoryError when called,
+    before any block is produced, if limit lies past the fixed sieve
+    budget.
     """
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
     if limit < 2:
         return iter(())
-    return itertools.chain(([2],), _odd_prime_blocks(_odd_segments(limit)))
+    return itertools.chain(((2, b"\x01"),), _sub_blocks(_odd_segments(limit)))
+
+
+def prime_blocks(limit: int) -> Iterator[list]:
+    """Every prime p <= limit, ascending, as a stream of lists.
+
+    Each list holds the primes of one block of sieve_blocks (2 comes
+    first, on its own); a list may be empty.  Raises SieveMemoryError
+    when called, before any prime is produced, if limit lies past the
+    fixed sieve budget.
+    """
+    return itertools.starmap(block_primes, sieve_blocks(limit))
 
 
 def iter_primes(limit: int) -> Iterator[int]:
@@ -125,8 +146,4 @@ def primes_up_to(limit: int) -> list:
 
 def prime_count(limit: int) -> int:
     """pi(limit): the number of primes <= limit."""
-    if limit < 0:
-        raise ValueError(f"limit must be nonnegative, got {limit}")
-    if limit < 2:
-        return 0
-    return 1 + sum(flags.count(1) for _, flags in _odd_segments(limit))
+    return sum(flags.count(1) for _, flags in sieve_blocks(limit))

@@ -167,6 +167,15 @@ def test_huge_exponent_is_a_usage_error_naming_the_input(capsys):
     assert err == "usage error: argument --x: cannot parse 'abc': expected digits or <int>e<int>\n"
 
 
+def test_flag_type_errors_print_their_own_text(capsys):
+    code, out, err = run_cli(capsys, "count", "--k", "0", "--x", "10")
+    assert (code, out) == (1, "")
+    assert err == "usage error: argument --k: expected a positive integer, got 0\n"
+    code, out, err = run_cli(capsys, "cross", "--ks", "a,2", "--x", "10")
+    assert (code, out) == (1, "")
+    assert err == "usage error: argument --ks: expected a comma-separated exponent list, got 'a,2'\n"
+
+
 def test_resource_errors_exit_two(capsys):
     # sieving to 10^15 would need half a petabyte of flags; the budget
     # guard turns that into a clean resource failure

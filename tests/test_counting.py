@@ -4,8 +4,8 @@ from bisect import bisect_right
 
 import pytest
 
-from golden import COUNT_TABLES, direct_sums, naive_window_count
-from primesums import counting
+from golden import COUNT_TABLES, direct_sums, naive_window_count, sweep_count
+from primesums import counting, sieve
 from primesums.arith import UINT128_MAX, integer_kth_root
 from primesums.counting import (
     count_rows,
@@ -15,8 +15,8 @@ from primesums.counting import (
     start_runs,
 )
 from primesums.enumeration import enumerate_sums
-from primesums.prefix import build, build_from_primes
-from primesums.sieve import BLOCK_ODDS, SEGMENT_BYTES, iter_primes, prime_blocks
+from primesums.prefix import PowerPrefixSums, build, build_from_primes
+from primesums.sieve import BLOCK_ODDS, SEGMENT_BYTES, iter_primes, primes_up_to, sieve_blocks
 
 
 @pytest.mark.parametrize(
@@ -193,14 +193,14 @@ def test_count_rows_edge_cases():
 
 def test_table_sieves_once_to_the_largest_root(monkeypatch):
     # every row reads the same sieve pass; one pass per row would call
-    # prime_blocks once for each of the ten rows
+    # sieve_blocks once for each of the ten rows
     limits = []
 
     def recorded(limit):
         limits.append(limit)
-        return prime_blocks(limit)
+        return sieve_blocks(limit)
 
-    monkeypatch.setattr(counting, "prime_blocks", recorded)
+    monkeypatch.setattr(counting, "sieve_blocks", recorded)
     xs = [10 ** e for e in range(3, 13)]
     assert [r.count for r in count_rows(xs, 2)] == [c for _, c, _, _ in COUNT_TABLES[2][:10]]
     assert limits == [10 ** 6]
@@ -219,3 +219,75 @@ def test_finished_row_releases_the_shared_powers():
         tracemalloc.stop()
     assert [r.count for r in reports] == [37, 8867094]
     assert peak < 2 * 2 ** 20
+
+
+def swept(xs, k):
+    """sweep_count for each x of xs, over the primes up to the largest root."""
+    primes = primes_up_to(integer_kth_root(max(xs, default=0), k))
+    return [sweep_count(primes, k, x) for x in xs]
+
+
+def check_against_the_sweep(xs, k):
+    expected = swept(xs, k)
+    assert list(count_rows(xs, k)) == expected
+    assert [count_up_to(x, k) for x in xs] == expected
+    # one prefix array serves every row: primes past a row's root add nothing
+    if xs:
+        ps = build(xs[-1], k)
+        assert [count_sums(PowerPrefixSums(x, k, ps.primes, ps.f)) for x in xs] == expected
+
+
+def crossovers(x, k):
+    return counting._Row(x, k, integer_kth_root(x, k)).crossovers
+
+
+# odd numbers that start extraction sub-blocks 5 and 40, and the sieve's second segment
+CROSSOVER_EDGES = [2 * BLOCK_ODDS * i + 1 for i in (5, 40)] + [2 * SEGMENT_BYTES + 1]
+
+
+@pytest.mark.parametrize("edge", CROSSOVER_EDGES)
+def test_crossovers_next_to_block_edges(edge):
+    # the row x = j * g^2 has its crossover g_j = floor(sqrt(x / j)) on g,
+    # so pi(g) is counted up to just before, on and just after the edge
+    xs = sorted(j * (edge + offset) ** 2 for j in (1, 2, 3) for offset in (-2, 0, 2))
+    for j in (1, 2, 3):
+        for offset in (-2, 0, 2):
+            assert crossovers(j * (edge + offset) ** 2, 2)[j - 1] == edge + offset
+    check_against_the_sweep(xs, 2)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 64])
+def test_rows_below_twice_the_first_power(k):
+    # below 2 * 2^k no run has two terms, and g_2 < 2 holds no prime
+    xs = sorted({*range(2 ** k - 1, 2 ** k + 40), 2 * 2 ** k - 1, 2 * 2 ** k})
+    assert all(len(crossovers(x, k)) == 1 for x in xs)
+    check_against_the_sweep(xs, k)
+
+
+def test_rows_with_one_and_two_crossovers():
+    # L, the number of crossovers, is 1 up to 3128836095 and 2 from there
+    xs = [10 ** 9, 3128836095, 3128836096, 10 ** 10]
+    assert [len(crossovers(x, 2)) for x in xs] == [1, 1, 2, 2]
+    check_against_the_sweep(xs, 2)
+
+
+def test_largest_exponent_up_to_the_largest_x():
+    xs = [2 ** 64 - 1, 2 ** 64, 3 ** 64 - 1, 3 ** 64, 3 ** 64 + 2 ** 64, 2 ** 127, UINT128_MAX]
+    check_against_the_sweep(xs, 64)
+
+
+@pytest.mark.parametrize("block", [1, 8, 64])
+def test_small_blocks_put_many_crossovers_in_reach(monkeypatch, block):
+    # with blocks of a few odd numbers, L runs into the hundreds, and the
+    # primes around one crossover span many blocks
+    monkeypatch.setattr(sieve, "BLOCK_ODDS", block)
+    monkeypatch.setattr(counting, "BLOCK_ODDS", block)
+    assert len(crossovers(10 ** 8, 2)) > 10
+    check_against_the_sweep([10 ** e for e in range(3, 9)], 2)
+    check_against_the_sweep([10 ** e for e in range(3, 12)], 3)
+    check_against_the_sweep([10 ** e for e in range(5, 21, 3)], 5)
+
+
+def test_square_row_at_ten_to_the_sixteen():
+    # past the paper's table, and equal to a full sweep's count
+    assert count_up_to(10 ** 16, 2) == (10 ** 16, 2, 2837367708, 59066, 5761455)

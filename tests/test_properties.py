@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from golden import direct_sums, trial_primes
+from golden import direct_sums, sweep_count, trial_primes
+from primesums import counting, sieve
 from primesums.cli import main
 from primesums.arith import UINT128_MAX, integer_kth_root
 from primesums.counting import count_rows, count_sums, count_up_to, start_runs
@@ -30,6 +31,7 @@ from primesums.duplicates import (
 )
 from primesums.enumeration import enumerate_sums, length_histogram
 from primesums.prefix import build, build_from_primes
+from primesums.sieve import BLOCK_ODDS, primes_up_to
 
 # x stays below 10^7 so that direct_sums, quadratic in the prime
 # count, keeps each example to milliseconds
@@ -113,6 +115,31 @@ def test_count_up_to_matches_prefix_count(case):
 def test_count_rows_match_prefix_counts(case):
     xs, k = case
     assert list(count_rows(xs, k)) == [count_sums(build(x, k)) for x in xs]
+
+
+# ascending rows; squares up to 3 * 10^10 have up to three crossovers
+# at the sieve's own block size
+row_sets = st.one_of(
+    cases, stream_cases, st.tuples(st.integers(10 ** 9, 3 * 10 ** 10), st.just(2))
+).flatmap(
+    lambda case: st.tuples(
+        st.lists(st.integers(0, case[0]), max_size=4).map(sorted), st.just(case[1])
+    )
+)
+
+
+@settings(deadline=None)
+@given(row_sets, st.sampled_from([1, 8, BLOCK_ODDS]))
+def test_count_rows_match_the_full_sweep(case, block):
+    # blocks of 1 or 8 odd numbers give many crossovers even at small x
+    xs, k = case
+    primes = primes_up_to(integer_kth_root(max(xs, default=0), k))
+    expected = [sweep_count(primes, k, x) for x in xs]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sieve, "BLOCK_ODDS", block)
+        patch.setattr(counting, "BLOCK_ODDS", block)
+        assert list(count_rows(xs, k)) == expected
+        assert [count_sums(build_from_primes(primes, k, x)) for x in xs] == expected
 
 
 def edge_xs(k):
