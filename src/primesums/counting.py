@@ -22,25 +22,39 @@ crossover g_j = floor((x/j)^(1/k)): a start past g_j has j terms above
 g_j^k, and a start whose j-th term is at most g_j has j terms at most
 g_j^k, so c_j is pi(g_j) - j + 1 plus those of the next j - 1 starts
 whose sums stay <= x, and only the 2j - 2 primes around g_j decide it.
-c_1 = pi(x^(1/k)) is prime_count.  L is the first j at which
-g_j - g_{j+1} < 2 * BLOCK_ODDS: past it, every sieve sub-block would
-hold a crossover anyway.  So L follows from the block size and (x, k)
-alone; it is 98 for x = 10^15, k = 2, 30 for 10^20, k = 3, and 1 for
-every square row below 3128836096.
+c_1 = pi(x^(1/k)) is prime_count.
+
+L balances the two costs.  A crossover costs one bisection over its
+undecided starts, a count of flags and some bookkeeping, about 8 us
+(CPython 3.11, 2 vCPUs); it saves the sweep of the starts between
+g_{j+1} and g_j, about (g_j - g_{j+1}) / ln g_j of them, at about
+0.26 us each.  So a
+crossover pays while it replaces some 32 starts or more, and L is the
+first j at which g_j - g_{j+1} < 32 ln g_j, capped by terms, a bound on
+the terms of any run.  L follows from (x, k) alone: it is 1089 for
+x = 10^15, k = 2, 468 for 10^20, k = 3, 357 for 10^32, k = 5, and 1 for
+every square row below 514089 = 717^2.  The balance is flat: the
+paper's k = 2, 3 and 5 tables count in the same time, within noise,
+with 16 or 64 in place of 32.
 
 count_rows counts a whole table from one sieve pass up to the largest
 row's root.  The sieve hands over each sub-block's flags; pi(g) is a
 running count of the flags up to g, made in C.  A sub-block's primes
 are extracted and raised to the k-th power only while some row still
-sweeps, or when a crossover needs the primes around it, and a sub-block
-is kept only until its crossovers are counted.  A row is reported, in
-order, as soon as its sweep is over and its crossovers are counted.
-The memory is the sieve's base primes and one segment, one block's
-powers, each sweeping row's window and the few blocks around pending
-crossovers.  count_up_to is the one-row case.  count_sums runs the same
-row over a prefix array: it sweeps ps.primes, takes each pi(g_j) by
-bisection, and each c_j by bisection of ps.f.  The length histogram,
-which the duplicate search reads, runs a window over the powers up to x.
+sweeps.  The crossovers read one running prefix of powers, which holds
+only the primes they read: it starts from the primes just before a
+crossover, read backwards from the flags, and grows forwards as later
+crossovers read further; where their primes overlap, each prime is
+raised and summed once.  A sub-block's flags are kept only while a
+crossover may still read its primes, and a row is reported, in order,
+as soon as its sweep is over and its crossovers are counted.  The
+memory is the sieve's base primes and one segment, one block's powers,
+each sweeping row's window, and the flags and prefix around the last
+L primes and the pending crossovers.  count_up_to is the one-row case.
+count_sums runs the same row over a prefix array: it sweeps ps.primes,
+takes each pi(g_j) by bisection of the primes, and each c_j by the same
+bisection of ps.f.  The length histogram, which the duplicate search
+reads, runs a window over the powers up to x.
 
 Enumeration streams too: start_runs drives run_lengths over a stream of
 primes and keeps the prefix sums only from the current start on, so
@@ -52,15 +66,23 @@ Only powers <= x enter a window, so every start has a run of at least
 one term.
 """
 
+import math
 from bisect import bisect_right
 from collections import deque
-from itertools import accumulate, chain, repeat, takewhile
-from operator import itemgetter
+from itertools import accumulate, chain, compress, islice, repeat, takewhile
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .arith import integer_kth_root
 from .prefix import PowerPrefixSums, check_power, sieve_limit
-from .sieve import BLOCK_ODDS, SieveMemoryError, block_primes, sieve_blocks
+from .sieve import (
+    BLOCK_ODDS,
+    SieveMemoryError,
+    block_primes,
+    count_flags,
+    flag_primes,
+    sieve_blocks,
+)
 
 # starts start_runs yields between drops of the prefix sums behind them
 TRIM_STARTS = 1 << 12
@@ -163,8 +185,8 @@ class _Row:
     """One row: the sweep of its long runs and the counts at its crossovers.
 
     crossovers[j - 1] is g_j = floor((x/j)^(1/k)) for j = 1 .. L, where
-    L is the first j at which g_j - g_{j+1} < 2 * BLOCK_ODDS, and never
-    more than terms, a bound on the terms of any run.  count adds up
+    L is the first j at which g_j - g_{j+1} < 32 ln g_j, and never more
+    than terms, a bound on the terms of any run.  count adds up
     max(run - L, 0) over the swept starts and c_j at each crossover.
     """
 
@@ -172,9 +194,10 @@ class _Row:
 
     def __init__(self, x: int, k: int, terms: int):
         g = [integer_kth_root(x, k)]
-        while len(g) < terms:
+        # a crossover pays while it replaces 32 or more starts (see above)
+        while 1 < g[-1] and len(g) < terms:
             after = integer_kth_root(x // (len(g) + 1), k)
-            if g[-1] - after < 2 * BLOCK_ODDS:
+            if g[-1] - after < 32 * math.log(g[-1]):
                 break
             g.append(after)
         self.x = x
@@ -225,11 +248,27 @@ class _Row:
             self.count += over * (over + 1) // 2 if over > 0 else 0
             self.window = None
 
-    def cross(self, j: int, starts: int) -> None:
-        """Count c_j, the starts whose first j terms sum to at most x."""
-        self.count += starts
+    def cross(self, j: int, below: int, f: list, base: int) -> None:
+        """Count c_j, the starts whose first j terms sum to at most x.
+
+        below is pi(g_j), and f[i] - f[0] is the sum of the powers of
+        the primes with indices base .. base + i - 1.  The starts before
+        below - j + 1 have j terms up to g_j, and those from below on
+        have none, so only the starts from below - j + 1 to below - 1
+        can go either way.  Their sums rise with the start, so one
+        bisection finds the first past x.  A start whose j terms run
+        past the primes of f is past x too: the primes f lacks lie past
+        the row's root or the end of the stream.
+        """
+        lo = max(0, below - j + 1)
+        hi = min(below, base + len(f) - j)
+        if lo < hi:
+            lo = base + bisect_right(
+                range(hi - base), self.x, lo - base, key=lambda i: f[i + j] - f[i]
+            )
+        self.count += lo
         if j == 1:
-            self.primes = starts
+            self.primes = lo
         self.open -= 1
 
     def done(self) -> bool:
@@ -239,17 +278,6 @@ class _Row:
         return CountReport(self.x, self.k, self.count, self.first, self.primes)
 
 
-def _starts_within(f: list, j: int, x: int, lo: int, hi: int) -> int:
-    """lo plus the starts i in lo .. hi - 1 with f[i + j] - f[i] <= x.
-
-    f is a prefix sum of ascending powers, so those sums rise with i and
-    one bisection finds the first start past x.
-    """
-    if hi <= lo:
-        return lo
-    return bisect_right(range(hi), x, lo, key=lambda i: f[i + j] - f[i])
-
-
 def count_sums(ps: PowerPrefixSums) -> CountReport:
     """The CountReport of ps.
 
@@ -257,7 +285,7 @@ def count_sums(ps: PowerPrefixSums) -> CountReport:
     BLOCK_ODDS, and each crossover's pi(g_j) is a bisection of the
     primes, its c_j a bisection of ps.f.
     """
-    x, primes, f = ps.x, ps.primes, ps.f
+    x, primes = ps.x, ps.primes
     row = _Row(x, ps.k, len(primes))
     for i in range(0, len(primes), BLOCK_ODDS):
         if row.window is None:
@@ -265,55 +293,120 @@ def count_sums(ps: PowerPrefixSums) -> CountReport:
         row.push(list(map(pow, primes[i : i + BLOCK_ODDS], repeat(ps.k))))
     row.end()
     for j, g in enumerate(row.crossovers, 1):
-        below = bisect_right(primes, g)
-        row.cross(j, _starts_within(f, j, x, max(0, below - j + 1), min(below, len(f) - j)))
+        row.cross(j, bisect_right(primes, g), ps.f, 0)
     return row.report()
 
 
 class _Block:
-    """One block of the sieve: its flags, and its primes once they are needed."""
+    """One block of the sieve: its flags, and where its primes stand among all."""
 
-    __slots__ = ("start", "stop", "first", "flags", "list")
+    __slots__ = ("start", "stop", "first", "flags")
 
     def __init__(self, start: int, first: int, flags):
         self.start = start  # index of the block's first prime
-        self.stop = start + flags.count(1)
+        self.stop = start + count_flags(flags)
         self.first = first
         self.flags = flags
-        self.list = None
 
-    def primes(self) -> list:
-        if self.list is None:
-            self.list = block_primes(self.first, self.flags)
-        return self.list
+    def after(self, offset: int) -> Iterator[int]:
+        """The block's primes from first + 2 * offset on, ascending."""
+        return flag_primes(self.first + 2 * offset, self.flags[offset:])
+
+    def before(self, offset: int) -> Iterator[int]:
+        """The block's primes below first + 2 * offset, descending."""
+        first, flags = self.first, self.flags
+        return compress(range(first + 2 * offset - 2, first - 1, -2), reversed(flags[:offset]))
 
 
-def _cross(row: _Row, j: int, below: int, kept: deque) -> None:
-    """Count c_j from pi(g_j), which is below, and the kept blocks.
+class _Crossover(NamedTuple):
+    """A crossover g_j of a row, once the sieve has passed g_j."""
 
-    Only the starts from below - j + 1 to below - 1 can go either way;
-    their sums need the primes with indices below - j + 1 to
-    below + j - 2, those of them the kept blocks hold.
+    a: int  # the first prime index its undecided starts read
+    b: int  # the index past the last one
+    below: int  # pi(g_j)
+    j: int
+    row: _Row
+    block: _Block  # the primes before offset in block are the first below
+    offset: int
+
+
+class _Prefix:
+    """Running sums of the powers of a stretch of consecutive primes.
+
+    sums[i] - sums[0] is the sum of the powers of the primes with
+    indices base .. base + i - 1.  at is (block, offset): the primes
+    before offset in that kept block are those before the stretch's
+    end.  at is None while there is no stretch.
     """
-    a = max(0, below - j + 1)
-    b = below + j - 1
-    near = []
-    for block in kept:
-        if block.stop > a and block.start < b:
-            near += block.primes()[max(0, a - block.start) : b - block.start]
-    f = list(accumulate(map(pow, near, repeat(row.k)), initial=0))
-    row.cross(j, a + _starts_within(f, j, row.x, 0, min(below - a, len(f) - j)))
+
+    __slots__ = ("k", "base", "sums", "at")
+
+    def __init__(self, k: int):
+        self.k = k
+        self.base = 0
+        self.sums = [0]
+        self.at = None
+
+    def cover(self, kept: deque, start: _Crossover, b: int) -> None:
+        """Extend the sums over the primes from start.a to b - 1 that kept holds.
+
+        If start.a lies outside the stretch, a new one begins there: the
+        primes from start.a up to start's crossover are read backwards
+        from it, so no prime between the old stretch and start.a is
+        extracted.
+        """
+        top = self.base + len(self.sums) - 1
+        if self.at is None or not self.base <= start.a <= top:
+            i = kept.index(start.block) if start.below > start.a else 0
+            back = chain.from_iterable(
+                kept[h].before(start.offset if h == i else len(kept[h].flags))
+                for h in range(i, -1, -1)
+            )
+            primes = list(islice(back, start.below - start.a))
+            primes.reverse()
+            self.base, top = start.a, start.below
+            self.sums = list(accumulate(map(pow, primes, repeat(self.k)), initial=0))
+            self.at = start.block, start.offset
+        block, offset = self.at
+        while top < b:
+            primes = list(islice(block.after(offset), b - top))
+            if primes:
+                self.sums += accumulate(map(pow, primes, repeat(self.k)), initial=self.sums.pop())
+                top += len(primes)
+            if top == b:
+                offset = (primes[-1] - block.first) // 2 + 1
+            elif block is kept[-1]:
+                offset = len(block.flags)  # the primes so far are used up
+                break
+            else:
+                block, offset = kept[kept.index(block) + 1], 0
+        self.at = block, offset
+
+    def trim(self, start: int) -> None:
+        """Drop the sums of the primes before index start.
+
+        The stretch ends once start reaches its end, since the block
+        that at names may then leave kept.
+        """
+        top = self.base + len(self.sums) - 1
+        if start >= top:
+            self.at = None
+        elif start > self.base:
+            del self.sums[: start - self.base]
+            self.base = start
 
 
 def _reports(rows: list, k: int, limit: int) -> Iterator[CountReport]:
     """A report for each of the ascending rows, from one sieve pass up to limit.
 
-    Every block's primes are counted in C.  Its primes are extracted and
-    raised to the k-th power only while some row still sweeps, or when a
-    crossover needs them; a crossover at g takes pi(g) from the count of
-    the flags up to g.  A block is kept only while a crossover may still
-    need its primes.  A row is reported once its sweep is over and its
-    crossovers are counted; the rows ascend, so they complete in order.
+    Every block's primes are counted in C, and extracted and raised to
+    the k-th power while some row still sweeps.  A crossover at g takes
+    pi(g) from the count of the flags up to g, and its undecided starts
+    from one running prefix of powers, which extracts only the primes
+    the crossovers read.  A block is kept only while a crossover may
+    still need its primes.  A row is reported once its sweep is over
+    and its crossovers are counted; the rows ascend, so they complete in
+    order.
     """
     unreported = deque(rows)
     sweeping = list(rows)
@@ -323,49 +416,73 @@ def _reports(rows: list, k: int, limit: int) -> Iterator[CountReport]:
     )
     reach = max((len(row.crossovers) for row in rows), default=1)
     m = 0  # marks[m:] lie past the blocks so far
-    waiting = []  # (index of the last prime needed, pi(g), j, row)
+    waiting = []  # crossovers passed but not counted
     kept = deque()
+    prefix = _Prefix(k)
     seen = 0  # primes in the blocks so far
     for first, flags in sieve_blocks(limit):
         end = first + 2 * len(flags) - 1  # every number below end is sieved
         block = _Block(seen, first, flags)
         kept.append(block)
         if sweeping:
-            powers = list(map(pow, block.primes(), repeat(k)))
+            powers = list(map(pow, block_primes(first, flags), repeat(k)))
             for row in sweeping:
                 row.push(powers)
                 if row.root < end:
                     row.end()
             sweeping = [row for row in sweeping if row.window is not None]
+        below, counted = seen, 0  # below counts the primes before flags[counted]
         while m < len(marks) and marks[m][0] < end:
             g, j, row = marks[m]
             m += 1
-            below = seen + flags[: (g - first) // 2 + 1].count(1)
-            waiting.append((below + j - 2, below, j, row))
+            past = (g - first) // 2 + 1
+            below += count_flags(flags[counted:past])
+            counted = past
+            a = max(0, below - j + 1)
+            waiting.append(_Crossover(a, below + j - 1, below, j, row, block, past))
         seen = block.stop
-        still = []
-        for need, below, j, row in waiting:
+        if waiting:
             # a row's primes past its root add nothing to its sums
-            if need < seen or row.root < end:
-                _cross(row, j, below, kept)
-            else:
-                still.append((need, below, j, row))
-        waiting = still
-        # a crossover not yet reached needs primes from seen - reach + 1 on
-        low = min([below - j + 1 for _, below, j, _ in waiting], default=seen)
-        low = min(low, seen - reach + 1)
+            ready = [c for c in waiting if c.b <= seen or c.row.root < end]
+            if ready:
+                waiting = [c for c in waiting if not (c.b <= seen or c.row.root < end)]
+                _count_ready(ready, waiting, kept, prefix)
+        # a crossover not yet passed needs primes from seen - reach + 1 on
+        low = min(min([c.a for c in waiting], default=seen), seen - reach + 1)
         while kept and kept[0].stop <= low:
             kept.popleft()
+        prefix.trim(low)
         while unreported and unreported[0].done():
             yield unreported.popleft().report()
     # the stream is over: every prime up to the largest root is counted
-    for need, below, j, row in waiting:
-        _cross(row, j, below, kept)
-    for g, j, row in marks[m:]:
-        _cross(row, j, seen, kept)
+    last, offset = (kept[-1], len(kept[-1].flags)) if kept else (None, 0)
+    for _, j, row in marks[m:]:
+        waiting.append(_Crossover(max(0, seen - j + 1), seen + j - 1, seen, j, row, last, offset))
+    _count_ready(waiting, [], kept, prefix)
     for row in unreported:
         row.end()
         yield row.report()
+
+
+def _count_ready(ready: list, waiting: list, kept: deque, prefix: _Prefix) -> None:
+    """Count the ready crossovers, in the order of the first prime each reads.
+
+    Crossovers whose primes overlap are covered at once.  The prefix
+    starts no later than the first prime a waiting crossover reads:
+    that one reads every prime from there to past the kept blocks.
+    """
+    low = min(waiting, key=attrgetter("a"), default=None)
+    ready.sort(key=attrgetter("a"))
+    i = 0
+    while i < len(ready):
+        start, b, n = ready[i], ready[i].b, i + 1
+        while n < len(ready) and ready[n].a < b:
+            b = max(b, ready[n].b)
+            n += 1
+        prefix.cover(kept, start if low is None or start.a <= low.a else low, b)
+        for crossover in ready[i:n]:
+            crossover.row.cross(crossover.j, crossover.below, prefix.sums, prefix.base)
+        i = n
 
 
 def count_rows(xs: Iterable[int], k: int) -> Iterator[CountReport]:

@@ -10,8 +10,8 @@ run (counting.start_runs).  sieve_limit maps (x, k) to the sieve limit
 for all of them.
 """
 
-from dataclasses import dataclass
 from itertools import accumulate, repeat
+from typing import NamedTuple
 
 from .arith import check_uint64, check_uint128, checked_pow, integer_kth_root
 from .sieve import check_budget, primes_up_to
@@ -26,8 +26,7 @@ def check_power(k: int) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class PowerPrefixSums:
+class PowerPrefixSums(NamedTuple):
     """Primes whose k-th power fits under x, with running power sums.
 
     f has len(primes) + 1 entries: f[0] = 0 and f[i] - f[i-1] is the

@@ -11,7 +11,7 @@ primes.
 Primes leave the sieve in one way only, sieve_blocks: the prime 2 on its
 own, then one (first, flags) block per sub-block of BLOCK_ODDS odd
 numbers, where flags[i] is 1 exactly when first + 2*i is prime.  The
-reader chooses what a block costs.  flags.count(1) counts its primes in
+reader chooses what a block costs.  count_flags counts its primes in
 C, which is all counting.count_rows needs of most blocks: it takes
 pi(g) at each crossover g from the count of the flags up to g.
 block_primes extracts a block's primes: it selects from the fixed list
@@ -31,8 +31,8 @@ from typing import Iterator
 
 BUDGET_BYTES = 1 << 31
 SEGMENT_BYTES = 1 << 18
-# odd numbers per sub-block; it divides SEGMENT_BYTES, and sets how many
-# crossovers counting takes in place of a sweep
+# odd numbers per sub-block, the unit in which primes leave the sieve;
+# it divides SEGMENT_BYTES
 BLOCK_ODDS = 1 << 13
 _EVEN_OFFSETS = list(range(0, 2 * BLOCK_ODDS, 2))
 
@@ -96,9 +96,26 @@ def _sub_blocks(segments: Iterator[tuple]) -> Iterator[tuple]:
             yield first + 2 * i, flags[i : i + BLOCK_ODDS]
 
 
+def count_flags(flags) -> int:
+    """The primes that flags mark: the number of its bytes that are 1.
+
+    Each flag is 0 or 1, so the flags read as one little-endian int
+    have one set bit per prime, counted in C.
+    """
+    return int.from_bytes(flags, "little").bit_count()
+
+
+def flag_primes(first: int, flags) -> Iterator[int]:
+    """Each first + 2*i whose flags[i] is 1, ascending, made as it is read.
+
+    flags holds at most BLOCK_ODDS flags.
+    """
+    return map(first.__add__, itertools.compress(_EVEN_OFFSETS, flags))
+
+
 def block_primes(first: int, flags) -> list:
     """The primes of one block, ascending: each first + 2*i whose flags[i] is 1."""
-    return list(map(first.__add__, itertools.compress(_EVEN_OFFSETS, flags)))
+    return list(flag_primes(first, flags))
 
 
 def sieve_blocks(limit: int) -> Iterator[tuple]:
@@ -146,4 +163,4 @@ def primes_up_to(limit: int) -> list:
 
 def prime_count(limit: int) -> int:
     """pi(limit): the number of primes <= limit."""
-    return sum(flags.count(1) for _, flags in sieve_blocks(limit))
+    return sum(count_flags(flags) for _, flags in sieve_blocks(limit))

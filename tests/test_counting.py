@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from bisect import bisect_right
+from collections import Counter
 
 import pytest
 
@@ -265,10 +266,44 @@ def test_rows_below_twice_the_first_power(k):
 
 
 def test_rows_with_one_and_two_crossovers():
-    # L, the number of crossovers, is 1 up to 3128836095 and 2 from there
-    xs = [10 ** 9, 3128836095, 3128836096, 10 ** 10]
-    assert [len(crossovers(x, 2)) for x in xs] == [1, 1, 2, 2]
+    # L, the number of crossovers, is 1 below 514089 = 717^2, where
+    # g_1 - g_2 = 717 - 506 first reaches 32 ln 717; the floors make it
+    # drop back to 1 at a few rows up to 518399, and it is 3 from 3065288
+    xs = [10 ** 5, 514088, 514089, 514098, 518399, 518400, 3065287, 3065288]
+    assert [len(crossovers(x, 2)) for x in xs] == [1, 1, 2, 1, 1, 2, 2, 3]
     check_against_the_sweep(xs, 2)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 64])
+def test_crossovers_that_reach_the_first_run(k):
+    # below 2^k + 3^k the first run has one term and L is 1, so no long
+    # run is left to sweep
+    xs = [2 ** k, 2 ** k + 1, 3 ** k - 1, 3 ** k, 2 ** k + 3 ** k - 1]
+    assert all(len(crossovers(x, k)) == 1 for x in xs)
+    assert [report.max_run_length for report in count_rows(xs, k)] == [1] * len(xs)
+    check_against_the_sweep(xs, k)
+
+
+@pytest.mark.parametrize("k,x,L", [(2, 10 ** 10, 29), (3, 10 ** 15, 32), (5, 10 ** 32, 357)])
+def test_crossovers_capped_by_the_terms(k, x, L):
+    # over a prefix array of n primes no run has more than n terms, so L
+    # stops at n; every start's run is then decided at a crossover
+    assert len(counting._Row(x, k, 10 ** 6).crossovers) == L
+    for n in (1, 2, 5, 12, 29):
+        primes = primes_up_to(113)[:n]
+        assert len(counting._Row(x, k, n).crossovers) == n
+        report = count_sums(build_from_primes(primes, k, x))
+        assert report == sweep_count(primes, k, x)
+        assert report.max_run_length == n
+
+
+@pytest.mark.parametrize("x", [10 ** 11, 10 ** 12])
+def test_many_crossovers_in_one_sub_block(x):
+    # past the first few, a square row's crossovers are a few primes
+    # apart, and one sub-block of the sieve holds ten or more of them
+    per_block = Counter((g - 1) // (2 * BLOCK_ODDS) for g in crossovers(x, 2))
+    assert max(per_block.values()) >= 10
+    check_against_the_sweep([10 ** 10, x], 2)
 
 
 def test_largest_exponent_up_to_the_largest_x():
@@ -278,14 +313,26 @@ def test_largest_exponent_up_to_the_largest_x():
 
 @pytest.mark.parametrize("block", [1, 8, 64])
 def test_small_blocks_put_many_crossovers_in_reach(monkeypatch, block):
-    # with blocks of a few odd numbers, L runs into the hundreds, and the
-    # primes around one crossover span many blocks
+    # L does not depend on the block size; the 56 primes around the
+    # 10^10 square row's 29th crossover span some 300 odd numbers, so
+    # with blocks of a few odd numbers one prefix runs over many blocks
     monkeypatch.setattr(sieve, "BLOCK_ODDS", block)
     monkeypatch.setattr(counting, "BLOCK_ODDS", block)
-    assert len(crossovers(10 ** 8, 2)) > 10
-    check_against_the_sweep([10 ** e for e in range(3, 9)], 2)
+    assert len(crossovers(10 ** 10, 2)) == 29
+    check_against_the_sweep([10 ** e for e in range(3, 11)], 2)
     check_against_the_sweep([10 ** e for e in range(3, 12)], 3)
     check_against_the_sweep([10 ** e for e in range(5, 21, 3)], 5)
+
+
+@pytest.mark.parametrize(
+    "x,block", [(1667870710, 4), (1881612017, 8), (2015160493, 3), (2247426938, 1)]
+)
+def test_prefix_that_ends_on_a_block_edge(monkeypatch, x, block):
+    # in these rows one crossover's prefix ends just where the kept
+    # blocks are cut, and a later crossover's primes start there
+    monkeypatch.setattr(sieve, "BLOCK_ODDS", block)
+    monkeypatch.setattr(counting, "BLOCK_ODDS", block)
+    check_against_the_sweep([x], 2)
 
 
 def test_square_row_at_ten_to_the_sixteen():

@@ -117,8 +117,8 @@ def test_count_rows_match_prefix_counts(case):
     assert list(count_rows(xs, k)) == [count_sums(build(x, k)) for x in xs]
 
 
-# ascending rows; squares up to 3 * 10^10 have up to three crossovers
-# at the sieve's own block size
+# ascending rows; squares up to 3 * 10^10 have up to 41 crossovers,
+# up to 15 of them in one sub-block of the sieve's own size
 row_sets = st.one_of(
     cases, stream_cases, st.tuples(st.integers(10 ** 9, 3 * 10 ** 10), st.just(2))
 ).flatmap(
@@ -131,7 +131,8 @@ row_sets = st.one_of(
 @settings(deadline=None)
 @given(row_sets, st.sampled_from([1, 8, BLOCK_ODDS]))
 def test_count_rows_match_the_full_sweep(case, block):
-    # blocks of 1 or 8 odd numbers give many crossovers even at small x
+    # with blocks of 1 or 8 odd numbers, the primes a crossover reads
+    # span many blocks even at small x
     xs, k = case
     primes = primes_up_to(integer_kth_root(max(xs, default=0), k))
     expected = [sweep_count(primes, k, x) for x in xs]
