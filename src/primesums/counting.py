@@ -28,29 +28,31 @@ L balances the two costs.  A crossover costs one bisection over its
 undecided starts, a count of flags and some bookkeeping, about 8 us
 (CPython 3.11, 2 vCPUs); it saves the sweep of the starts between
 g_{j+1} and g_j, about (g_j - g_{j+1}) / ln g_j of them, at about
-0.26 us each.  So a
-crossover pays while it replaces some 32 starts or more, and L is the
-first j at which g_j - g_{j+1} < 32 ln g_j, capped by terms, a bound on
-the terms of any run.  L follows from (x, k) alone: it is 1089 for
-x = 10^15, k = 2, 468 for 10^20, k = 3, 357 for 10^32, k = 5, and 1 for
-every square row below 514089 = 717^2.  The balance is flat: the
+0.26 us each.  So a crossover pays while it replaces some 32 starts or
+more, and L is the first j at which g_j - g_{j+1} < 32 ln g_j.  L
+follows from (x, k) alone: it is 1089 for x = 10^15, k = 2, 468 for
+10^20, k = 3, 357 for 10^32, k = 5, and 1 for every square row below
+514089 = 717^2.  The balance is flat: the
 paper's k = 2, 3 and 5 tables count in the same time, within noise,
 with 16 or 64 in place of 32.
 
 count_rows counts a whole table from one sieve pass up to the largest
-row's root.  The sieve hands over each sub-block's flags; pi(g) is a
-running count of the flags up to g, made in C.  A sub-block's primes
-are extracted and raised to the k-th power only while some row still
-sweeps.  The crossovers read one running prefix of powers, which holds
-only the primes they read: it starts from the primes just before a
-crossover, read backwards from the flags, and grows forwards as later
-crossovers read further; where their primes overlap, each prime is
-raised and summed once.  A sub-block's flags are kept only while a
-crossover may still read its primes, and a row is reported, in order,
-as soon as its sweep is over and its crossovers are counted.  The
-memory is the sieve's base primes and one segment, one block's powers,
-each sweeping row's window, and the flags and prefix around the last
-L primes and the pending crossovers.  count_up_to is the one-row case.
+row's root.  The sieve hands over each sub-block's flags, and this
+module reads them only through the sieve's reads by number: a position
+is a number, never a place in the flags, so it stays valid after its
+block is dropped.  pi(g) is a running count of the primes up to g, made
+in C.  A sub-block's primes are extracted and raised to the k-th power
+only while some row still sweeps.  The crossovers read one running
+prefix of powers, which holds only the primes they read: it starts
+from the primes up to a crossover g, read backwards from g, and grows
+forwards from the number just past it as later crossovers read
+further; where their primes overlap, each prime is raised and summed
+once.  A sub-block's flags are kept only while a crossover may still
+read its primes, and a row is reported, in order, as soon as its sweep
+is over and its crossovers are counted.  The memory is the sieve's base
+primes and one segment, one block's powers, each sweeping row's window,
+and the flags and prefix around the last L primes and the pending
+crossovers.  count_up_to is the one-row case.
 count_sums runs the same row over a prefix array: it sweeps ps.primes,
 takes each pi(g_j) by bisection of the primes, and each c_j by the same
 bisection of ps.f.  The length histogram, which the duplicate search
@@ -69,7 +71,7 @@ one term.
 import math
 from bisect import bisect_right
 from collections import deque
-from itertools import accumulate, chain, compress, islice, repeat, takewhile
+from itertools import accumulate, chain, islice, repeat, takewhile
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -78,9 +80,12 @@ from .prefix import PowerPrefixSums, check_power, sieve_limit
 from .sieve import (
     BLOCK_ODDS,
     SieveMemoryError,
+    block_end,
     block_primes,
     count_flags,
-    flag_primes,
+    count_primes,
+    primes_below,
+    primes_from,
     sieve_blocks,
 )
 
@@ -185,17 +190,16 @@ class _Row:
     """One row: the sweep of its long runs and the counts at its crossovers.
 
     crossovers[j - 1] is g_j = floor((x/j)^(1/k)) for j = 1 .. L, where
-    L is the first j at which g_j - g_{j+1} < 32 ln g_j, and never more
-    than terms, a bound on the terms of any run.  count adds up
+    L is the first j at which g_j - g_{j+1} < 32 ln g_j.  count adds up
     max(run - L, 0) over the swept starts and c_j at each crossover.
     """
 
     __slots__ = ("x", "k", "crossovers", "window", "count", "first", "primes", "open")
 
-    def __init__(self, x: int, k: int, terms: int):
+    def __init__(self, x: int, k: int):
         g = [integer_kth_root(x, k)]
         # a crossover pays while it replaces 32 or more starts (see above)
-        while 1 < g[-1] and len(g) < terms:
+        while 1 < g[-1]:
             after = integer_kth_root(x // (len(g) + 1), k)
             if g[-1] - after < 32 * math.log(g[-1]):
                 break
@@ -283,10 +287,11 @@ def count_sums(ps: PowerPrefixSums) -> CountReport:
 
     The row's long runs are swept over the primes in lists of
     BLOCK_ODDS, and each crossover's pi(g_j) is a bisection of the
-    primes, its c_j a bisection of ps.f.
+    primes, its c_j a bisection of ps.f; a crossover past the last
+    start that has j terms adds 0.
     """
     x, primes = ps.x, ps.primes
-    row = _Row(x, ps.k, len(primes))
+    row = _Row(x, ps.k)
     for i in range(0, len(primes), BLOCK_ODDS):
         if row.window is None:
             break
@@ -297,25 +302,12 @@ def count_sums(ps: PowerPrefixSums) -> CountReport:
     return row.report()
 
 
-class _Block:
-    """One block of the sieve: its flags, and where its primes stand among all."""
+class _Block(NamedTuple):
+    """One block of the sieve, and the number of primes up to its end."""
 
-    __slots__ = ("start", "stop", "first", "flags")
-
-    def __init__(self, start: int, first: int, flags):
-        self.start = start  # index of the block's first prime
-        self.stop = start + count_flags(flags)
-        self.first = first
-        self.flags = flags
-
-    def after(self, offset: int) -> Iterator[int]:
-        """The block's primes from first + 2 * offset on, ascending."""
-        return flag_primes(self.first + 2 * offset, self.flags[offset:])
-
-    def before(self, offset: int) -> Iterator[int]:
-        """The block's primes below first + 2 * offset, descending."""
-        first, flags = self.first, self.flags
-        return compress(range(first + 2 * offset - 2, first - 1, -2), reversed(flags[:offset]))
+    stop: int
+    first: int
+    flags: bytes
 
 
 class _Crossover(NamedTuple):
@@ -326,26 +318,25 @@ class _Crossover(NamedTuple):
     below: int  # pi(g_j)
     j: int
     row: _Row
-    block: _Block  # the primes before offset in block are the first below
-    offset: int
+    g: int
 
 
 class _Prefix:
     """Running sums of the powers of a stretch of consecutive primes.
 
     sums[i] - sums[0] is the sum of the powers of the primes with
-    indices base .. base + i - 1.  at is (block, offset): the primes
-    before offset in that kept block are those before the stretch's
-    end.  at is None while there is no stretch.
+    indices base .. base + i - 1, and end is the number just past the
+    stretch: the next prime is the first from end on.  The stretch
+    starts empty, before 2.
     """
 
-    __slots__ = ("k", "base", "sums", "at")
+    __slots__ = ("k", "base", "sums", "end")
 
     def __init__(self, k: int):
         self.k = k
         self.base = 0
         self.sums = [0]
-        self.at = None
+        self.end = 2
 
     def cover(self, kept: deque, start: _Crossover, b: int) -> None:
         """Extend the sums over the primes from start.a to b - 1 that kept holds.
@@ -356,44 +347,32 @@ class _Prefix:
         extracted.
         """
         top = self.base + len(self.sums) - 1
-        if self.at is None or not self.base <= start.a <= top:
-            i = kept.index(start.block) if start.below > start.a else 0
+        if not self.base <= start.a <= top:
             back = chain.from_iterable(
-                kept[h].before(start.offset if h == i else len(kept[h].flags))
-                for h in range(i, -1, -1)
+                primes_below(first, flags, start.g + 1) for _, first, flags in reversed(kept)
             )
             primes = list(islice(back, start.below - start.a))
             primes.reverse()
-            self.base, top = start.a, start.below
+            self.base, top, self.end = start.a, start.below, start.g + 1
             self.sums = list(accumulate(map(pow, primes, repeat(self.k)), initial=0))
-            self.at = start.block, start.offset
-        block, offset = self.at
-        while top < b:
-            primes = list(islice(block.after(offset), b - top))
+        if top < b:
+            ahead = chain.from_iterable(
+                primes_from(first, flags, self.end) for _, first, flags in kept
+            )
+            primes = list(islice(ahead, b - top))
             if primes:
                 self.sums += accumulate(map(pow, primes, repeat(self.k)), initial=self.sums.pop())
-                top += len(primes)
-            if top == b:
-                offset = (primes[-1] - block.first) // 2 + 1
-            elif block is kept[-1]:
-                offset = len(block.flags)  # the primes so far are used up
-                break
-            else:
-                block, offset = kept[kept.index(block) + 1], 0
-        self.at = block, offset
+                self.end = primes[-1] + 1
 
-    def trim(self, start: int) -> None:
-        """Drop the sums of the primes before index start.
+    def trim(self, low: int) -> None:
+        """Drop the sums of the primes before index low.
 
-        The stretch ends once start reaches its end, since the block
-        that at names may then leave kept.
+        A stretch that ends before low is left with no sums; every
+        later crossover reads from low on, so cover replaces it first.
         """
-        top = self.base + len(self.sums) - 1
-        if start >= top:
-            self.at = None
-        elif start > self.base:
-            del self.sums[: start - self.base]
-            self.base = start
+        if low > self.base:
+            del self.sums[: low - self.base]
+            self.base = low
 
 
 def _reports(rows: list, k: int, limit: int) -> Iterator[CountReport]:
@@ -401,7 +380,7 @@ def _reports(rows: list, k: int, limit: int) -> Iterator[CountReport]:
 
     Every block's primes are counted in C, and extracted and raised to
     the k-th power while some row still sweeps.  A crossover at g takes
-    pi(g) from the count of the flags up to g, and its undecided starts
+    pi(g) from the count of the primes up to g, and its undecided starts
     from one running prefix of powers, which extracts only the primes
     the crossovers read.  A block is kept only while a crossover may
     still need its primes.  A row is reported once its sweep is over
@@ -420,10 +399,11 @@ def _reports(rows: list, k: int, limit: int) -> Iterator[CountReport]:
     kept = deque()
     prefix = _Prefix(k)
     seen = 0  # primes in the blocks so far
-    for first, flags in sieve_blocks(limit):
-        end = first + 2 * len(flags) - 1  # every number below end is sieved
-        block = _Block(seen, first, flags)
-        kept.append(block)
+    # an empty block past the limit ends the stream: every row ends and
+    # every crossover is passed before it
+    for first, flags in chain(sieve_blocks(limit), ((limit + 2, b""),)):
+        end = block_end(first, flags)  # every number below end is sieved
+        kept.append(_Block(seen + count_flags(flags), first, flags))
         if sweeping:
             powers = list(map(pow, block_primes(first, flags), repeat(k)))
             for row in sweeping:
@@ -431,16 +411,14 @@ def _reports(rows: list, k: int, limit: int) -> Iterator[CountReport]:
                 if row.root < end:
                     row.end()
             sweeping = [row for row in sweeping if row.window is not None]
-        below, counted = seen, 0  # below counts the primes before flags[counted]
+        below, counted = seen, 0  # below counts the primes before the number counted
         while m < len(marks) and marks[m][0] < end:
             g, j, row = marks[m]
             m += 1
-            past = (g - first) // 2 + 1
-            below += count_flags(flags[counted:past])
-            counted = past
-            a = max(0, below - j + 1)
-            waiting.append(_Crossover(a, below + j - 1, below, j, row, block, past))
-        seen = block.stop
+            below += count_primes(first, flags, counted, g + 1)
+            counted = g + 1
+            waiting.append(_Crossover(max(0, below - j + 1), below + j - 1, below, j, row, g))
+        seen = kept[-1].stop
         if waiting:
             # a row's primes past its root add nothing to its sums
             ready = [c for c in waiting if c.b <= seen or c.row.root < end]
@@ -454,14 +432,6 @@ def _reports(rows: list, k: int, limit: int) -> Iterator[CountReport]:
         prefix.trim(low)
         while unreported and unreported[0].done():
             yield unreported.popleft().report()
-    # the stream is over: every prime up to the largest root is counted
-    last, offset = (kept[-1], len(kept[-1].flags)) if kept else (None, 0)
-    for _, j, row in marks[m:]:
-        waiting.append(_Crossover(max(0, seen - j + 1), seen + j - 1, seen, j, row, last, offset))
-    _count_ready(waiting, [], kept, prefix)
-    for row in unreported:
-        row.end()
-        yield row.report()
 
 
 def _count_ready(ready: list, waiting: list, kept: deque, prefix: _Prefix) -> None:
@@ -504,7 +474,7 @@ def count_rows(xs: Iterable[int], k: int) -> Iterator[CountReport]:
         except (ValueError, SieveMemoryError) as err:
             error = err
             break
-    rows = [_Row(x, k, root) for x, root in zip(xs, limits)]
+    rows = [_Row(x, k) for x in xs[: len(limits)]]
     # the roots ascend with the rows; with none in range there is nothing to sieve
     yield from _reports(rows, k, max(limits, default=0))
     if error is not None:

@@ -12,13 +12,20 @@ Primes leave the sieve in one way only, sieve_blocks: the prime 2 on its
 own, then one (first, flags) block per sub-block of BLOCK_ODDS odd
 numbers, where flags[i] is 1 exactly when first + 2*i is prime.  The
 reader chooses what a block costs.  count_flags counts its primes in
-C, which is all counting.count_rows needs of most blocks: it takes
-pi(g) at each crossover g from the count of the flags up to g.
+C, which is all counting.count_rows needs of most blocks.
 block_primes extracts a block's primes: it selects from the fixed list
 of even offsets 0, 2, 4, ... with itertools.compress and adds the
 block's first odd number to each offset kept, so an int is made for
 each prime, not for each odd number.  prime_blocks extracts every
 block, for iter_primes and primes_up_to.
+
+A block is also read by number, so that its reader never indexes the
+flags: primes_from(first, flags, n) gives its primes from n on,
+ascending; primes_below(first, flags, n) its primes below n,
+descending; count_primes(first, flags, lo, hi) counts its primes p
+with lo <= p < hi in C; and block_end(first, flags) is the number
+below which every number is sieved once the block is out.  n may lie
+anywhere, before, inside or past the block.
 
 A limit whose one-byte-per-odd-number flags would exceed BUDGET_BYTES
 (2 GiB, a fixed limit past about 4.3 * 10^9) raises SieveMemoryError
@@ -105,17 +112,39 @@ def count_flags(flags) -> int:
     return int.from_bytes(flags, "little").bit_count()
 
 
-def flag_primes(first: int, flags) -> Iterator[int]:
-    """Each first + 2*i whose flags[i] is 1, ascending, made as it is read.
+def _index(first: int, n: int) -> int:
+    """The index of the first flag whose number is n or more, if the block has one."""
+    return max(0, (n - first + 1) // 2)
 
-    flags holds at most BLOCK_ODDS flags.
+
+def primes_from(first: int, flags, n: int) -> Iterator[int]:
+    """The block's primes from n on, ascending, made as they are read.
+
+    flags holds at most BLOCK_ODDS flags, as each block of sieve_blocks does.
     """
-    return map(first.__add__, itertools.compress(_EVEN_OFFSETS, flags))
+    i = _index(first, n)
+    return map((first + 2 * i).__add__, itertools.compress(_EVEN_OFFSETS, flags[i:]))
+
+
+def primes_below(first: int, flags, n: int) -> Iterator[int]:
+    """The block's primes below n, descending, made as they are read."""
+    i = min(_index(first, n), len(flags))
+    return itertools.compress(range(first + 2 * i - 2, first - 1, -2), reversed(flags[:i]))
+
+
+def count_primes(first: int, flags, lo: int, hi: int) -> int:
+    """The number of the block's primes p with lo <= p < hi."""
+    return count_flags(flags[_index(first, lo) : _index(first, hi)])
+
+
+def block_end(first: int, flags) -> int:
+    """Every number below this is sieved once the block and those before it are out."""
+    return first + 2 * len(flags) - 1
 
 
 def block_primes(first: int, flags) -> list:
     """The primes of one block, ascending: each first + 2*i whose flags[i] is 1."""
-    return list(flag_primes(first, flags))
+    return list(primes_from(first, flags, first))
 
 
 def sieve_blocks(limit: int) -> Iterator[tuple]:
@@ -123,11 +152,10 @@ def sieve_blocks(limit: int) -> Iterator[tuple]:
 
     flags[i] is 1 exactly when first + 2*i is prime.  The first block
     is (2, b"\x01"), the prime 2 on its own; each later one is a
-    sub-block of BLOCK_ODDS odd numbers, from 1 on, so a block starting
-    at first covers the numbers below first + 2 * len(flags) - 1 that
-    the blocks before it do not.  Raises SieveMemoryError when called,
-    before any block is produced, if limit lies past the fixed sieve
-    budget.
+    sub-block of BLOCK_ODDS odd numbers, from 1 on, so a block covers
+    the numbers below its block_end that the blocks before it do not.
+    Raises SieveMemoryError when called, before any block is produced,
+    if limit lies past the fixed sieve budget.
     """
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from golden import COUNT_TABLES, direct_sums, naive_window_count, sweep_count
+from golden import COUNT_TABLES, bisect_count, direct_sums, naive_window_count, sweep_count
 from primesums import counting, sieve
 from primesums.arith import UINT128_MAX, integer_kth_root
 from primesums.counting import (
@@ -239,7 +239,7 @@ def check_against_the_sweep(xs, k):
 
 
 def crossovers(x, k):
-    return counting._Row(x, k, integer_kth_root(x, k)).crossovers
+    return counting._Row(x, k).crossovers
 
 
 # odd numbers that start extraction sub-blocks 5 and 40, and the sieve's second segment
@@ -286,12 +286,12 @@ def test_crossovers_that_reach_the_first_run(k):
 
 @pytest.mark.parametrize("k,x,L", [(2, 10 ** 10, 29), (3, 10 ** 15, 32), (5, 10 ** 32, 357)])
 def test_crossovers_capped_by_the_terms(k, x, L):
-    # over a prefix array of n primes no run has more than n terms, so L
-    # stops at n; every start's run is then decided at a crossover
-    assert len(counting._Row(x, k, 10 ** 6).crossovers) == L
+    # over a prefix array of n < L primes no run has more than n terms,
+    # so every start's run is decided at a crossover, and those past
+    # the n-th add nothing
+    assert len(crossovers(x, k)) == L
     for n in (1, 2, 5, 12, 29):
         primes = primes_up_to(113)[:n]
-        assert len(counting._Row(x, k, n).crossovers) == n
         report = count_sums(build_from_primes(primes, k, x))
         assert report == sweep_count(primes, k, x)
         assert report.max_run_length == n
@@ -333,6 +333,17 @@ def test_prefix_that_ends_on_a_block_edge(monkeypatch, x, block):
     monkeypatch.setattr(sieve, "BLOCK_ODDS", block)
     monkeypatch.setattr(counting, "BLOCK_ODDS", block)
     check_against_the_sweep([x], 2)
+
+
+@pytest.mark.parametrize("k,top", [(2, 10 ** 12), (3, 10 ** 15), (5, 10 ** 25), (10, None), (20, None)])
+def test_tables_match_two_sweeps(k, top):
+    # the paper's rows up to top (all of them without one), each counted
+    # by bisection per start and by the two-pointer sweep
+    xs = [x for x, _, _, _ in COUNT_TABLES[k] if top is None or x <= top]
+    primes = primes_up_to(integer_kth_root(xs[-1], k))
+    expected = [bisect_count(primes, k, x) for x in xs]
+    assert list(count_rows(xs, k)) == expected
+    assert [sweep_count(primes, k, x) for x in xs] == expected
 
 
 def test_square_row_at_ten_to_the_sixteen():

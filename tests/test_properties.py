@@ -129,16 +129,20 @@ row_sets = st.one_of(
 
 
 @settings(deadline=None)
-@given(row_sets, st.sampled_from([1, 8, BLOCK_ODDS]))
+@given(row_sets, st.sampled_from([1, 3, 8, BLOCK_ODDS]))
 def test_count_rows_match_the_full_sweep(case, block):
-    # with blocks of 1 or 8 odd numbers, the primes a crossover reads
-    # span many blocks even at small x
+    # with blocks of 1, 3 or 8 odd numbers, the primes a crossover reads
+    # span many blocks even at small x; they come with segments of 2^10
+    # odd numbers, which 3 does not divide, so with blocks of 3 a short
+    # block ends each segment, in the middle of the stream
     xs, k = case
     primes = primes_up_to(integer_kth_root(max(xs, default=0), k))
     expected = [sweep_count(primes, k, x) for x in xs]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sieve, "BLOCK_ODDS", block)
         patch.setattr(counting, "BLOCK_ODDS", block)
+        if block < BLOCK_ODDS:
+            patch.setattr(sieve, "SEGMENT_BYTES", 1 << 10)
         assert list(count_rows(xs, k)) == expected
         assert [count_sums(build_from_primes(primes, k, x)) for x in xs] == expected
 

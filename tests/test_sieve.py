@@ -6,15 +6,21 @@ import pytest
 
 import primesums
 from golden import trial_primes
+from primesums import sieve
 from primesums.counting import count_up_to
 from primesums.sieve import (
     BLOCK_ODDS,
     SEGMENT_BYTES,
     SieveMemoryError,
+    block_end,
+    count_primes,
     iter_primes,
     prime_blocks,
     prime_count,
+    primes_below,
+    primes_from,
     primes_up_to,
+    sieve_blocks,
     sieve_bytes_needed,
 )
 
@@ -124,6 +130,33 @@ def test_prime_blocks_follow_the_sub_blocks(limit):
         assert all(first <= p < first + 2 * BLOCK_ODDS for p in block)
     assert len(blocks) == 1 + math.ceil(sieve_bytes_needed(limit) / BLOCK_ODDS)
     assert [p for block in blocks for p in block] == primes_up_to(limit)
+
+
+@pytest.mark.parametrize("odds", [1, 3, 8])
+def test_reads_by_number_next_to_block_edges(monkeypatch, odds):
+    # the block of 2, the block holding 1, a middle block and the last
+    # block, which holds one odd number: short unless blocks hold one
+    monkeypatch.setattr(sieve, "BLOCK_ODDS", odds)
+    limit = 2 * odds * 7 + 2
+    blocks = list(sieve_blocks(limit))
+    assert len(blocks[-1][1]) == 1
+    primes = trial_primes(limit + 10)
+    assert [p for first, flags in blocks for p in primes_from(first, flags, 0)] == trial_primes(limit)
+    for first, flags in (blocks[0], blocks[1], blocks[len(blocks) // 2], blocks[-1]):
+        end = block_end(first, flags)
+        # the block's primes are those of its parity from first up to end
+        own = [p for p in primes if first <= p < end and p % 2 == first % 2]
+        numbers = range(first - 3, end + 4)
+        for n in numbers:
+            assert list(primes_from(first, flags, n)) == [p for p in own if p >= n]
+            assert list(primes_below(first, flags, n)) == [p for p in reversed(own) if p < n]
+            for hi in numbers:
+                assert count_primes(first, flags, n, hi) == len([p for p in own if n <= p < hi])
+    # the odd blocks meet end to end, and the last reaches the limit
+    odd = blocks[1:]
+    assert [block_end(*a) + 1 for a in odd[:-1]] == [first for first, _ in odd[1:]]
+    assert block_end(*blocks[0]) == 3
+    assert block_end(*blocks[-1]) >= limit
 
 
 @pytest.mark.parametrize("edge", EDGES)
