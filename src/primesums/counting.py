@@ -28,11 +28,12 @@ L balances the two costs.  A crossover costs one bisection over its
 undecided starts, a count of flags and some bookkeeping, about 8 us
 (CPython 3.11, 2 vCPUs); it saves the sweep of the starts between
 g_{j+1} and g_j, about (g_j - g_{j+1}) / ln g_j of them, at about
-0.26 us each.  So a crossover pays while it replaces some 32 starts or
-more, and L is the first j at which g_j - g_{j+1} < 32 ln g_j.  L
-follows from (x, k) alone: it is 1089 for x = 10^15, k = 2, 468 for
-10^20, k = 3, 357 for 10^32, k = 5, and 1 for every square row below
-514089 = 717^2.  The balance is flat: the
+0.26 us each.  So a
+crossover pays while it replaces some 32 starts or more, and L is the
+first j at which g_j - g_{j+1} < 32 ln g_j, capped by terms, a bound on
+the terms of any run.  L follows from (x, k) alone: it is 1089 for
+x = 10^15, k = 2, 468 for 10^20, k = 3, 357 for 10^32, k = 5, and 1 for
+every square row below 514089 = 717^2.  The balance is flat: the
 paper's k = 2, 3 and 5 tables count in the same time, within noise,
 with 16 or 64 in place of 32.
 
@@ -190,16 +191,17 @@ class _Row:
     """One row: the sweep of its long runs and the counts at its crossovers.
 
     crossovers[j - 1] is g_j = floor((x/j)^(1/k)) for j = 1 .. L, where
-    L is the first j at which g_j - g_{j+1} < 32 ln g_j.  count adds up
+    L is the first j at which g_j - g_{j+1} < 32 ln g_j, and never more
+    than terms, a bound on the terms of any run.  count adds up
     max(run - L, 0) over the swept starts and c_j at each crossover.
     """
 
     __slots__ = ("x", "k", "crossovers", "window", "count", "first", "primes", "open")
 
-    def __init__(self, x: int, k: int):
+    def __init__(self, x: int, k: int, terms: float = math.inf):
         g = [integer_kth_root(x, k)]
         # a crossover pays while it replaces 32 or more starts (see above)
-        while 1 < g[-1]:
+        while 1 < g[-1] and len(g) < terms:
             after = integer_kth_root(x // (len(g) + 1), k)
             if g[-1] - after < 32 * math.log(g[-1]):
                 break
@@ -287,11 +289,10 @@ def count_sums(ps: PowerPrefixSums) -> CountReport:
 
     The row's long runs are swept over the primes in lists of
     BLOCK_ODDS, and each crossover's pi(g_j) is a bisection of the
-    primes, its c_j a bisection of ps.f; a crossover past the last
-    start that has j terms adds 0.
+    primes, its c_j a bisection of ps.f.
     """
     x, primes = ps.x, ps.primes
-    row = _Row(x, ps.k)
+    row = _Row(x, ps.k, len(primes))
     for i in range(0, len(primes), BLOCK_ODDS):
         if row.window is None:
             break

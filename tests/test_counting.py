@@ -286,15 +286,31 @@ def test_crossovers_that_reach_the_first_run(k):
 
 @pytest.mark.parametrize("k,x,L", [(2, 10 ** 10, 29), (3, 10 ** 15, 32), (5, 10 ** 32, 357)])
 def test_crossovers_capped_by_the_terms(k, x, L):
-    # over a prefix array of n < L primes no run has more than n terms,
-    # so every start's run is decided at a crossover, and those past
-    # the n-th add nothing
+    # over a prefix array of n primes no run has more than n terms, so
+    # L stops at n; every start's run is then decided at a crossover
     assert len(crossovers(x, k)) == L
     for n in (1, 2, 5, 12, 29):
         primes = primes_up_to(113)[:n]
+        assert len(counting._Row(x, k, n).crossovers) == n
         report = count_sums(build_from_primes(primes, k, x))
         assert report == sweep_count(primes, k, x)
         assert report.max_run_length == n
+
+
+@pytest.mark.parametrize(
+    "primes,x",
+    [
+        ([2, 3, 5], 10 ** 30),
+        ([2, 3, 5], UINT128_MAX),
+        ([2 ** 62 - 1, 2 ** 62 + 1], (2 ** 62 + 1) ** 2),
+        (primes_up_to(113), UINT128_MAX),
+    ],
+)
+def test_count_sums_over_a_list_short_for_its_x(primes, x):
+    # by (x, k) alone L would run to tens of millions of crossovers
+    # here; the list's length bounds every run, so L stops there
+    assert count_sums(build_from_primes(primes, 2, x)) == sweep_count(primes, 2, x)
+    assert len(counting._Row(x, 2, len(primes)).crossovers) <= len(primes)
 
 
 @pytest.mark.parametrize("x", [10 ** 11, 10 ** 12])
