@@ -30,10 +30,10 @@ undecided starts, a count of flags and some bookkeeping, about 8 us
 g_{j+1} and g_j, about (g_j - g_{j+1}) / ln g_j of them, at about
 0.26 us each.  So a
 crossover pays while it replaces some 32 starts or more, and L is the
-first j at which g_j - g_{j+1} < 32 ln g_j, capped by terms, a bound on
-the terms of any run.  L follows from (x, k) alone: it is 1089 for
-x = 10^15, k = 2, 468 for 10^20, k = 3, 357 for 10^32, k = 5, and 1 for
-every square row below 514089 = 717^2.  The balance is flat: the
+first j at which g_j - g_{j+1} < 32 ln g_j.  L follows from (x, k)
+alone: it is 1089 for x = 10^15, k = 2, 468 for 10^20, k = 3, 357 for
+10^32, k = 5, and 1 for every square row below 514089 = 717^2.  The
+balance is flat: the
 paper's k = 2, 3 and 5 tables count in the same time, within noise,
 with 16 or 64 in place of 32.
 
@@ -54,10 +54,10 @@ is over and its crossovers are counted.  The memory is the sieve's base
 primes and one segment, one block's powers, each sweeping row's window,
 and the flags and prefix around the last L primes and the pending
 crossovers.  count_up_to is the one-row case.
-count_sums runs the same row over a prefix array: it sweeps ps.primes,
-takes each pi(g_j) by bisection of the primes, and each c_j by the same
-bisection of ps.f.  The length histogram, which the duplicate search
-reads, runs a window over the powers up to x.
+A prefix array f needs none of this: the sums f[b + m] - f[b] of m
+terms rise with the start b, so starts_by_length takes each c_m by one
+bisection of them.  count_sums adds the c_m up, and the length
+histogram and the duplicate search read them as they are.
 
 Enumeration streams too: start_runs drives run_lengths over a stream of
 primes and keeps the prefix sums only from the current start on, so
@@ -72,14 +72,13 @@ one term.
 import math
 from bisect import bisect_right
 from collections import deque
-from itertools import accumulate, chain, islice, repeat, takewhile
+from itertools import accumulate, chain, islice, repeat
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .arith import integer_kth_root
-from .prefix import PowerPrefixSums, check_power, sieve_limit
+from .prefix import PowerPrefixSums, check_power, sieve_limit, window_sum
 from .sieve import (
-    BLOCK_ODDS,
     SieveMemoryError,
     block_end,
     block_primes,
@@ -182,26 +181,47 @@ def start_runs(primes: Iterable[int], k: int, x: int) -> Iterator[tuple]:
             head = 0
 
 
-def run_lengths_of(ps: PowerPrefixSums) -> Iterator[int]:
-    """run_lengths over the k-th powers <= x of the primes of ps."""
-    return run_lengths(takewhile(ps.x.__ge__, map(pow, ps.primes, repeat(ps.k))), ps.x)
+def starts_by_length(ps: PowerPrefixSums) -> list:
+    """[c_1, ..., c_M], where c_m counts the starts whose first m terms sum to <= x.
+
+    A start with m terms up to x has m - 1 too, and the sums of m terms
+    rise with the start, so c_m is one bisection of them over the first
+    c_{m-1} starts.  The list stops at the first m with no start, so M
+    is the first start's run.
+    """
+    x, f = ps.x, ps.f
+    counts = []
+    reach = len(f)
+    while True:
+        m = len(counts) + 1
+        reach = bisect_right(range(min(reach, len(f) - m)), x, key=window_sum(f, m))
+        if not reach:
+            return counts
+        counts.append(reach)
+
+
+def count_sums(ps: PowerPrefixSums) -> CountReport:
+    """The CountReport of ps, from starts_by_length."""
+    counts = starts_by_length(ps)
+    primes = counts[0] if counts else 0
+    return CountReport(ps.x, ps.k, sum(counts), len(counts), primes)
 
 
 class _Row:
     """One row: the sweep of its long runs and the counts at its crossovers.
 
     crossovers[j - 1] is g_j = floor((x/j)^(1/k)) for j = 1 .. L, where
-    L is the first j at which g_j - g_{j+1} < 32 ln g_j, and never more
-    than terms, a bound on the terms of any run.  count adds up
+    L is the first j at which g_j - g_{j+1} < 32 ln g_j.  count adds up
     max(run - L, 0) over the swept starts and c_j at each crossover.
+    count_rows drives the rows from the sieve's blocks.
     """
 
     __slots__ = ("x", "k", "crossovers", "window", "count", "first", "primes", "open")
 
-    def __init__(self, x: int, k: int, terms: float = math.inf):
+    def __init__(self, x: int, k: int):
         g = [integer_kth_root(x, k)]
         # a crossover pays while it replaces 32 or more starts (see above)
-        while 1 < g[-1] and len(g) < terms:
+        while 1 < g[-1]:
             after = integer_kth_root(x // (len(g) + 1), k)
             if g[-1] - after < 32 * math.log(g[-1]):
                 break
@@ -269,9 +289,8 @@ class _Row:
         lo = max(0, below - j + 1)
         hi = min(below, base + len(f) - j)
         if lo < hi:
-            lo = base + bisect_right(
-                range(hi - base), self.x, lo - base, key=lambda i: f[i + j] - f[i]
-            )
+            window = window_sum(f, j)
+            lo = base + bisect_right(range(hi - base), self.x, lo - base, key=window)
         self.count += lo
         if j == 1:
             self.primes = lo
@@ -282,25 +301,6 @@ class _Row:
 
     def report(self) -> CountReport:
         return CountReport(self.x, self.k, self.count, self.first, self.primes)
-
-
-def count_sums(ps: PowerPrefixSums) -> CountReport:
-    """The CountReport of ps.
-
-    The row's long runs are swept over the primes in lists of
-    BLOCK_ODDS, and each crossover's pi(g_j) is a bisection of the
-    primes, its c_j a bisection of ps.f.
-    """
-    x, primes = ps.x, ps.primes
-    row = _Row(x, ps.k, len(primes))
-    for i in range(0, len(primes), BLOCK_ODDS):
-        if row.window is None:
-            break
-        row.push(list(map(pow, primes[i : i + BLOCK_ODDS], repeat(ps.k))))
-    row.end()
-    for j, g in enumerate(row.crossovers, 1):
-        row.cross(j, bisect_right(primes, g), ps.f, 0)
-    return row.report()
 
 
 class _Block(NamedTuple):

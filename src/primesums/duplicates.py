@@ -3,9 +3,10 @@
 Every run is a window f[b+m] - f[b] of the prefix sums.  The search
 sorts 64-bit keys instead of the sums: with g = f mod 2^64, a window's
 key g[b+m] - g[b] is n mod 2^64, which is n itself when x < 2^64.  The
-starts 0 .. reach-1 whose run has m or more terms form the block
-(k, m); one numpy subtraction gives all its keys, and sorting the keys
-and comparing neighbours finds every key that repeats.
+starts whose run has m or more terms are 0 .. reach-1, with reach
+c_m of counting.starts_by_length, and form the block (k, m); one numpy
+subtraction gives all its keys, and sorting the keys and comparing
+neighbours finds every key that repeats.
 
 A job with more keys than the in-memory cap sorts one value slice per
 pass, P = ceil(keys / cap) in all: slice i holds the sums from
@@ -27,9 +28,8 @@ never search for duplicates do not pay for loading it.
 from bisect import bisect_left
 from typing import NamedTuple
 
-from .counting import count_sums
-from .enumeration import Representation, length_histogram
-from .prefix import PowerPrefixSums, build
+from .counting import count_sums, starts_by_length
+from .prefix import PowerPrefixSums, Representation, build, window_sum
 
 DEFAULT_MAX_IN_MEMORY = 50_000_000
 
@@ -43,10 +43,6 @@ class DuplicateGroup(NamedTuple):
     members: tuple  # two or more Representation, sorted by (k, start_prime)
 
 
-def _window_sum(f: list, m: int):
-    return lambda b: f[b + m] - f[b]  # rises with the start b
-
-
 def _value_slices(ps_by_k: dict, max_in_memory: int) -> list:
     """Per pass, the ranges (k, m, lo, hi) of starts whose sums lie in its value slice."""
     # runs never lengthen as b grows, so the starts whose run has m or
@@ -54,7 +50,7 @@ def _value_slices(ps_by_k: dict, max_in_memory: int) -> list:
     blocks = [
         (k, m, reach)
         for k, ps in ps_by_k.items()
-        for m, reach in enumerate(length_histogram(ps).values(), 1)
+        for m, reach in enumerate(starts_by_length(ps), 1)
     ]
     passes = max(1, -(-sum(reach for *_, reach in blocks) // max_in_memory))
     x = max(ps.x for ps in ps_by_k.values())
@@ -62,7 +58,7 @@ def _value_slices(ps_by_k: dict, max_in_memory: int) -> list:
     bounds = [int(x * (i / passes) ** power) for i in range(1, passes)]
     slices = [[] for _ in range(passes)]
     for k, m, reach in blocks:
-        window = _window_sum(ps_by_k[k].f, m)
+        window = window_sum(ps_by_k[k].f, m)
         cuts = [0] + [bisect_left(range(reach), v, key=window) for v in bounds] + [reach]
         for parts, lo, hi in zip(slices, cuts, cuts[1:]):
             if lo < hi:
@@ -131,7 +127,7 @@ def _duplicate_groups(ps_by_k: dict, max_in_memory: int) -> list:
         if not len(repeated):
             continue
         for k, m, lo, hi in parts:
-            window = _window_sum(ps_by_k[k].f, m)
+            window = window_sum(ps_by_k[k].f, m)
             for b in _hits(np, window, keys_of[k], m, lo, hi, repeated):
                 rows_by_n.setdefault(window(b), []).append((k, b, m))
     groups = []

@@ -10,28 +10,12 @@ stream of primes, without the prime list or the prefix array;
 enumerate_sums reads it over the primes of a PowerPrefixSums.
 """
 
-from collections import Counter
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .arith import UINT128_MAX
-from .counting import run_lengths_of, start_runs
-from .prefix import PowerPrefixSums, sieve_limit
+from .counting import start_runs, starts_by_length
+from .prefix import PowerPrefixSums, Representation, sieve_limit
 from .sieve import iter_primes
-
-
-class Representation(NamedTuple):
-    """One witness that n is a sum of consecutive prime k-th powers.
-
-    start_index is the 0-based position b of the first prime in the
-    run, so the run covers primes[b : b + length] and
-    n = f[b + length] - f[b].
-    """
-
-    n: int
-    k: int
-    start_index: int
-    length: int
-    start_prime: int
 
 
 def enumerate_sums(ps: PowerPrefixSums) -> Iterator[Representation]:
@@ -50,17 +34,11 @@ def length_histogram(ps: PowerPrefixSums) -> dict:
 
     Only lengths with a nonzero count appear.  A start whose run has r
     terms contributes one representation of every length 1..r, so the
-    count for m is the number of starts whose run is at least m long.
-    Runs shorten as b grows, so every length up to the first start's
-    run occurs.
+    count for m is c_m of counting.starts_by_length, the number of
+    starts whose first m terms sum to at most x.  Runs shorten as b
+    grows, so every length up to the first start's run occurs.
     """
-    runs = Counter(run_lengths_of(ps))
-    hist = {}
-    acc = sum(runs.values())  # every start: each has a run of length >= 1
-    for m in range(1, max(runs, default=0) + 1):
-        hist[m] = acc
-        acc -= runs[m]
-    return hist
+    return dict(enumerate(starts_by_length(ps), 1))
 
 
 def smallest_elements(k: int, count: int) -> list:

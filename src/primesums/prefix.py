@@ -2,7 +2,8 @@
 
 With primes p_1 < p_2 < ... the array f satisfies f[0] = 0 and
 f[i] = p_1^k + ... + p_i^k, so every sum of consecutive prime powers
-p_{b+1}^k + ... + p_t^k is the difference f[t] - f[b].  The duplicate
+p_{b+1}^k + ... + p_t^k is the difference f[t] - f[b], which
+window_sum reads and a Representation records.  The duplicate
 searches work on the whole array, so duplicates, cross and
 count --distinct build it; counting needs only the stream of powers
 (counting.count_up_to), and enumeration keeps f only for the current
@@ -24,6 +25,29 @@ def check_power(k: int) -> int:
     if not K_MIN <= k <= K_MAX:
         raise ValueError(f"power k must be in {K_MIN}..{K_MAX}, got {k}")
     return k
+
+
+def window_sum(f: list, m: int):
+    """The sum of the m terms from start b, f[b + m] - f[b], as a function of b.
+
+    It rises with b, as the powers do, so it can key a bisection.
+    """
+    return lambda b: f[b + m] - f[b]
+
+
+class Representation(NamedTuple):
+    """One witness that n is a sum of consecutive prime k-th powers.
+
+    start_index is the 0-based position b of the first prime in the
+    run, so the run covers primes[b : b + length] and
+    n = f[b + length] - f[b].
+    """
+
+    n: int
+    k: int
+    start_index: int
+    length: int
+    start_prime: int
 
 
 class PowerPrefixSums(NamedTuple):

@@ -336,6 +336,24 @@ def sweep_count(primes: list, k: int, x: int) -> tuple:
     return (x, k, count, first, len(powers))
 
 
+def length_counts(primes: list, k: int, x: int) -> dict:
+    """{m: the starts whose first m powers sum to <= x}, for each m that has one.
+
+    primes is any ascending list.  Each start's powers are added one at
+    a time until the next would pass x; no prefix array, window or
+    bisection is used.
+    """
+    counts = {}
+    for b in range(len(primes)):
+        total = 0
+        for m, p in enumerate(primes[b:], 1):
+            total += p ** k
+            if total > x:
+                break
+            counts[m] = counts.get(m, 0) + 1
+    return counts
+
+
 def bisect_count(primes: list, k: int, x: int) -> tuple:
     """(x, k, count, max_run_length, prime_count) by one bisection per start.
 

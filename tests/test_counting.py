@@ -5,7 +5,14 @@ from collections import Counter
 
 import pytest
 
-from golden import COUNT_TABLES, bisect_count, direct_sums, naive_window_count, sweep_count
+from golden import (
+    COUNT_TABLES,
+    bisect_count,
+    direct_sums,
+    length_counts,
+    naive_window_count,
+    sweep_count,
+)
 from primesums import counting, sieve
 from primesums.arith import UINT128_MAX, integer_kth_root
 from primesums.counting import (
@@ -15,7 +22,7 @@ from primesums.counting import (
     run_lengths,
     start_runs,
 )
-from primesums.enumeration import enumerate_sums
+from primesums.enumeration import enumerate_sums, length_histogram
 from primesums.prefix import PowerPrefixSums, build, build_from_primes
 from primesums.sieve import BLOCK_ODDS, SEGMENT_BYTES, iter_primes, primes_up_to, sieve_blocks
 
@@ -286,12 +293,11 @@ def test_crossovers_that_reach_the_first_run(k):
 
 @pytest.mark.parametrize("k,x,L", [(2, 10 ** 10, 29), (3, 10 ** 15, 32), (5, 10 ** 32, 357)])
 def test_crossovers_capped_by_the_terms(k, x, L):
-    # over a prefix array of n primes no run has more than n terms, so
-    # L stops at n; every start's run is then decided at a crossover
+    # L follows from (x, k) alone; over a prefix array of n primes, with
+    # n up to L, every run is bounded by the list and not by x
     assert len(crossovers(x, k)) == L
     for n in (1, 2, 5, 12, 29):
         primes = primes_up_to(113)[:n]
-        assert len(counting._Row(x, k, n).crossovers) == n
         report = count_sums(build_from_primes(primes, k, x))
         assert report == sweep_count(primes, k, x)
         assert report.max_run_length == n
@@ -308,9 +314,11 @@ def test_crossovers_capped_by_the_terms(k, x, L):
 )
 def test_count_sums_over_a_list_short_for_its_x(primes, x):
     # by (x, k) alone L would run to tens of millions of crossovers
-    # here; the list's length bounds every run, so L stops there
-    assert count_sums(build_from_primes(primes, 2, x)) == sweep_count(primes, 2, x)
-    assert len(counting._Row(x, 2, len(primes)).crossovers) <= len(primes)
+    # here; count_sums takes none, and bisects once per length up to
+    # the list's length, which bounds every run
+    ps = build_from_primes(primes, 2, x)
+    assert count_sums(ps) == sweep_count(primes, 2, x)
+    assert length_histogram(ps) == length_counts(primes, 2, x)
 
 
 @pytest.mark.parametrize("x", [10 ** 11, 10 ** 12])
@@ -333,7 +341,6 @@ def test_small_blocks_put_many_crossovers_in_reach(monkeypatch, block):
     # 10^10 square row's 29th crossover span some 300 odd numbers, so
     # with blocks of a few odd numbers one prefix runs over many blocks
     monkeypatch.setattr(sieve, "BLOCK_ODDS", block)
-    monkeypatch.setattr(counting, "BLOCK_ODDS", block)
     assert len(crossovers(10 ** 10, 2)) == 29
     check_against_the_sweep([10 ** e for e in range(3, 11)], 2)
     check_against_the_sweep([10 ** e for e in range(3, 12)], 3)
@@ -347,7 +354,6 @@ def test_prefix_that_ends_on_a_block_edge(monkeypatch, x, block):
     # in these rows one crossover's prefix ends just where the kept
     # blocks are cut, and a later crossover's primes start there
     monkeypatch.setattr(sieve, "BLOCK_ODDS", block)
-    monkeypatch.setattr(counting, "BLOCK_ODDS", block)
     check_against_the_sweep([x], 2)
 
 

@@ -6,19 +6,21 @@ keys of the same runs; here random (x, k) pairs compare each of them
 against golden.direct_sums, which sums term by term from trial-division
 primes and shares no code with the package.  The enumerator and the CLI
 writer both read counting.start_runs, which is also checked on its own
-for how far ahead of its starts it reads.
+for how far ahead of its starts it reads.  The prefix-array counts are
+also checked over hand-built ascending lists whose sums pass 2^128.
 """
 
 import io
 from collections import Counter
 from contextlib import redirect_stdout
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from golden import direct_sums, sweep_count, trial_primes
-from primesums import counting, sieve
+from golden import direct_sums, length_counts, sweep_count, trial_primes
+from primesums import sieve
 from primesums.cli import main
 from primesums.arith import UINT128_MAX, integer_kth_root
 from primesums.counting import count_rows, count_sums, count_up_to, start_runs
@@ -140,11 +142,58 @@ def test_count_rows_match_the_full_sweep(case, block):
     expected = [sweep_count(primes, k, x) for x in xs]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sieve, "BLOCK_ODDS", block)
-        patch.setattr(counting, "BLOCK_ODDS", block)
         if block < BLOCK_ODDS:
             patch.setattr(sieve, "SEGMENT_BYTES", 1 << 10)
         assert list(count_rows(xs, k)) == expected
         assert [count_sums(build_from_primes(primes, k, x)) for x in xs] == expected
+
+
+def ascending_lists(k):
+    """Lists of up to 10 entries, with steps of 1 up to 2^62, whose k-th powers fit.
+
+    The steps start from any number that leaves room for them, or from
+    the one that puts the last entry on the largest root.
+    """
+    root = integer_kth_root(UINT128_MAX, k)
+
+    def from_start(steps):
+        top = max(0, root - sum(steps))
+        starts = st.integers(0, top) | st.just(top)
+        return starts.map(
+            lambda start: [p for p in accumulate(steps, initial=start) if p ** k <= UINT128_MAX][1:]
+        )
+
+    return st.lists(st.integers(1, 2 ** 62), max_size=10).flatmap(from_start)
+
+
+def near_a_sum(primes, k):
+    """x from 0 to 2^128 - 1, often a sum of consecutive powers of primes or one less."""
+    sums = {
+        sum(p ** k for p in primes[b:t]) - d
+        for b in range(len(primes))
+        for t in range(b + 1, len(primes) + 1)
+        for d in (0, 1)
+    }
+    ends = sorted({0, UINT128_MAX, *(s for s in sums if s <= UINT128_MAX)})
+    return st.integers(0, UINT128_MAX) | st.sampled_from(ends)
+
+
+# ascending lists, empty or not: their sums pass 2^64 and 2^128, and x
+# falls below an entry's power, on a run's end, or past all the sums
+hand_built = st.sampled_from([2, 3]).flatmap(
+    lambda k: ascending_lists(k).flatmap(
+        lambda primes: st.tuples(st.just(primes), st.just(k), near_a_sum(primes, k))
+    )
+)
+
+
+@settings(deadline=None)
+@given(hand_built)
+def test_prefix_counts_over_hand_built_lists(case):
+    primes, k, x = case
+    ps = build_from_primes(primes, k, x)
+    assert length_histogram(ps) == length_counts(primes, k, x)
+    assert count_sums(ps) == sweep_count(primes, k, x)
 
 
 def edge_xs(k):
