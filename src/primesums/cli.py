@@ -15,9 +15,9 @@ import stat
 import sys
 
 from .bounds import bound_estimate, floor_lower_bound, floor_upper_bound
-from .counting import count_rows, count_sums, count_up_to, start_runs
+from .counting import count_rows, count_up_to, start_runs
 from .duplicates import (
-    duplicate_surplus,
+    count_with_distinct,
     find_cross_power_duplicates_from_prefixes,
     find_duplicates_from_prefix,
 )
@@ -153,9 +153,7 @@ def _run_enumerate(args: argparse.Namespace, sink) -> None:
 def _run_count(args: argparse.Namespace, sink) -> None:
     if args.distinct:
         # the duplicate scan needs the prefix array, so count on it too
-        ps = build(args.x, args.k)
-        report = count_sums(ps)
-        distinct = report.count - duplicate_surplus(find_duplicates_from_prefix(ps))
+        report, distinct = count_with_distinct(build(args.x, args.k))
         names = [*report._fields, "distinct"]
         values = [*report, distinct]
     else:

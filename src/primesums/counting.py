@@ -200,11 +200,14 @@ def starts_by_length(ps: PowerPrefixSums) -> list:
         counts.append(reach)
 
 
+def report_of(ps: PowerPrefixSums, counts: list) -> CountReport:
+    """The CountReport of ps from its counts, starts_by_length(ps)."""
+    return CountReport(ps.x, ps.k, sum(counts), len(counts), counts[0] if counts else 0)
+
+
 def count_sums(ps: PowerPrefixSums) -> CountReport:
     """The CountReport of ps, from starts_by_length."""
-    counts = starts_by_length(ps)
-    primes = counts[0] if counts else 0
-    return CountReport(ps.x, ps.k, sum(counts), len(counts), primes)
+    return report_of(ps, starts_by_length(ps))
 
 
 class _Row:

@@ -8,13 +8,27 @@ c_m of counting.starts_by_length, and form the block (k, m); one numpy
 subtraction gives all its keys, and sorting the keys and comparing
 neighbours finds every key that repeats.
 
-A job with more keys than the in-memory cap sorts one value slice per
-pass, P = ceil(keys / cap) in all: slice i holds the sums from
+The search runs one class of run lengths per pass.  Let M_k be the
+largest M whose Carmichael function divides k (24 for k = 2, 240 for
+k = 4, 2 for odd k) and G the gcd of M_k over the exponents searched.
+Then p^k = 1 (mod G) for every p prime to G, so a run of such powers
+with m terms has n = m (mod G), and equal sums have lengths in one
+class mod G.  The index e is one past the last power that is not
+1 (mod G), read from the list itself: 2 for the squares of primes,
+whose 4 and 9 share a factor with 24.  Class r holds the starts from e
+on of every block (k, m) with m = r (mod G), and the few windows that
+start before e and have n = r (mod G); those are one small chunk of
+the class's keys, matched on their exact sums.  A pass sorts about
+keys/G keys, and runs with equal sums share a class.
+
+A class with more keys than the in-memory cap is cut into value
+slices, P = ceil(keys / cap) in all: slice i holds the sums from
 v_i = x * (i/P)^((k+1)/2), as the runs up to v number about
 v^(2/(k+1)).  For fixed m the sums rise with b, so a block's part of a
-slice is one range of starts, found by bisection on the exact sums.
+slice is one range of starts, found by bisection on the exact sums,
+and only the bounds inside the block's own sums cut it.
 
-Equal sums share a slice, so each slice's repeated keys are searched
+Equal sums share a pass, so each pass's repeated keys are searched
 back into its own ranges.  These are cut into pieces whose sums span
 less than 2^64 (one piece when x < 2^64), where the keys minus the
 first key ascend as the exact sums do.  The windows found are regrouped
@@ -25,10 +39,11 @@ exponents.  numpy is imported by the search itself, so commands that
 never search for duplicates do not pay for loading it.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from math import gcd
 from typing import NamedTuple
 
-from .counting import count_sums, starts_by_length
+from .counting import report_of, starts_by_length
 from .prefix import PowerPrefixSums, Representation, build, window_sum
 
 DEFAULT_MAX_IN_MEMORY = 50_000_000
@@ -43,37 +58,80 @@ class DuplicateGroup(NamedTuple):
     members: tuple  # two or more Representation, sorted by (k, start_prime)
 
 
-def _value_slices(ps_by_k: dict, max_in_memory: int) -> list:
-    """Per pass, the ranges (k, m, lo, hi) of starts whose sums lie in its value slice."""
-    # runs never lengthen as b grows, so the starts whose run has m or
-    # more terms are exactly 0 .. reach - 1
-    blocks = [
-        (k, m, reach)
-        for k, ps in ps_by_k.items()
-        for m, reach in enumerate(starts_by_length(ps), 1)
-    ]
-    passes = max(1, -(-sum(reach for *_, reach in blocks) // max_in_memory))
+def _power_modulus(k: int) -> int:
+    """M_k, the largest M whose Carmichael function divides k.
+
+    The Carmichael function of q^a is q^(a-1) (q - 1) for an odd prime
+    q, and 1, 2 and 2^(a-2) for 2, 4 and 2^a with a >= 3.  So M_k takes
+    q^(1 + v_q(k)) for every prime q with q - 1 | k, and one more 2
+    when k is even.
+    """
+    modulus = 2 if k % 2 == 0 else 1
+    for q in range(2, k + 2):
+        if k % (q - 1) == 0 and all(q % d for d in range(2, q)):
+            power = q
+            while k % power == 0:
+                power *= q
+            modulus *= power
+    return modulus
+
+
+def _value_slices(ps_by_k: dict, parts: list, windows: list, max_in_memory: int) -> list:
+    """(parts, windows) per value slice of one class."""
+    keys = len(windows) + sum(hi - lo for *_, lo, hi in parts)
+    count = -(-keys // max_in_memory)
+    if count <= 1:
+        return [(parts, windows)]
     x = max(ps.x for ps in ps_by_k.values())
     power = (min(ps_by_k) + 1) / 2
-    bounds = [int(x * (i / passes) ** power) for i in range(1, passes)]
-    slices = [[] for _ in range(passes)]
-    for k, m, reach in blocks:
+    bounds = [int(x * (i / count) ** power) for i in range(1, count)]
+    slices = [([], []) for _ in range(count)]
+    for k, m, lo, hi in parts:
         window = window_sum(ps_by_k[k].f, m)
-        cuts = [0] + [bisect_left(range(reach), v, key=window) for v in bounds] + [reach]
-        for parts, lo, hi in zip(slices, cuts, cuts[1:]):
-            if lo < hi:
-                parts.append((k, m, lo, hi))
+        first, last = (bisect_right(bounds, window(b)) for b in (lo, hi - 1))
+        cuts = [bisect_left(range(hi), v, lo, key=window) for v in bounds[first:last]]
+        for i, start, end in zip(range(first, last + 1), [lo, *cuts], [*cuts, hi]):
+            if start < end:  # equal bounds leave a slice empty
+                slices[i][0].append((k, m, start, end))
+    for window in windows:
+        slices[bisect_right(bounds, window[0])][1].append(window)
     return slices
 
 
-def _repeated_keys(np, keys_of: dict, parts: list):
-    """Sorted distinct keys that two or more windows of the parts share."""
-    out = np.empty(sum(hi - lo for *_, lo, hi in parts), dtype=np.uint64)
+def _passes(np, ps_by_k: dict, counts_by_k: dict, max_in_memory: int):
+    """(r, parts, windows) per pass, all of whose sums are r mod G.
+
+    parts are ranges (k, m, lo, hi) of starts, windows are (n, k, b, m)
+    with b before e.
+    """
+    modulus = gcd(*map(_power_modulus, ps_by_k))
+    classes = {}
+    for k, ps in ps_by_k.items():
+        primes = np.fromiter(ps.primes, dtype=np.uint64, count=len(ps.primes))
+        # as lambda(G) divides k, p^k = 1 (mod G) exactly when p is prime to G
+        others = np.flatnonzero(np.gcd(primes, modulus) > 1)
+        e = int(others[-1]) + 1 if len(others) else 0
+        for m, reach in enumerate(counts_by_k[k], 1):
+            if e < reach:
+                classes.setdefault(m % modulus, ([], []))[0].append((k, m, e, reach))
+            for b in range(min(e, reach)):
+                n = ps.f[b + m] - ps.f[b]
+                classes.setdefault(n % modulus, ([], []))[1].append((n, k, b, m))
+    for r in sorted(classes):
+        for parts, windows in _value_slices(ps_by_k, *classes[r], max_in_memory):
+            yield r, parts, windows
+
+
+def _repeated_keys(np, keys_of: dict, parts: list, windows: list):
+    """Sorted distinct keys that two or more windows of the pass share."""
+    size = sum(hi - lo for *_, lo, hi in parts)
+    out = np.empty(size + len(windows), dtype=np.uint64)
     pos = 0
     for k, m, lo, hi in parts:
         g = keys_of[k]
         np.subtract(g[lo + m : hi + m], g[lo:hi], out=out[pos : pos + hi - lo])
         pos += hi - lo
+    out[size:] = [n % _WRAP for n, *_ in windows]
     out.sort()
     return np.unique(out[1:][out[1:] == out[:-1]])
 
@@ -111,8 +169,11 @@ def _group(ps_by_k: dict, n: int, rows: list) -> DuplicateGroup:
     return DuplicateGroup(n=n, members=members)
 
 
-def _duplicate_groups(ps_by_k: dict, max_in_memory: int) -> list:
-    """Values with two runs under one exponent, or runs under two of several exponents."""
+def _duplicate_groups(ps_by_k: dict, counts_by_k: dict, max_in_memory: int) -> list:
+    """Values with two runs under one exponent, or runs under two of several exponents.
+
+    counts_by_k holds starts_by_length of each prefix array.
+    """
     if max_in_memory < 1:
         raise ValueError(f"max_in_memory must be positive, got {max_in_memory}")
     import numpy as np
@@ -122,14 +183,18 @@ def _duplicate_groups(ps_by_k: dict, max_in_memory: int) -> list:
         for k, ps in ps_by_k.items()
     }
     rows_by_n = {}
-    for parts in _value_slices(ps_by_k, max_in_memory):
-        repeated = _repeated_keys(np, keys_of, parts)
+    for _, parts, windows in _passes(np, ps_by_k, counts_by_k, max_in_memory):
+        repeated = _repeated_keys(np, keys_of, parts, windows)
         if not len(repeated):
             continue
         for k, m, lo, hi in parts:
             window = window_sum(ps_by_k[k].f, m)
             for b in _hits(np, window, keys_of[k], m, lo, hi, repeated):
                 rows_by_n.setdefault(window(b), []).append((k, b, m))
+        shared = set(repeated.tolist())
+        for n, k, b, m in windows:
+            if n % _WRAP in shared:
+                rows_by_n.setdefault(n, []).append((k, b, m))
     groups = []
     for n in sorted(rows_by_n):
         rows = rows_by_n[n]
@@ -154,7 +219,7 @@ def find_duplicates_from_prefix(
 
     At most about max_in_memory keys (8 bytes each) are sorted at once.
     """
-    return _duplicate_groups({ps.k: ps}, max_in_memory)
+    return _duplicate_groups({ps.k: ps}, {ps.k: starts_by_length(ps)}, max_in_memory)
 
 
 def find_cross_power_duplicates(
@@ -184,7 +249,8 @@ def find_cross_power_duplicates_from_prefixes(
     ks = sorted(ps_by_k)
     if len(ks) < 2:
         raise ValueError(f"cross-power search needs >= 2 distinct exponents, got {ks}")
-    return _duplicate_groups(ps_by_k, max_in_memory)
+    counts_by_k = {k: starts_by_length(ps) for k, ps in ps_by_k.items()}
+    return _duplicate_groups(ps_by_k, counts_by_k, max_in_memory)
 
 
 def duplicate_surplus(groups: list) -> int:
@@ -192,11 +258,21 @@ def duplicate_surplus(groups: list) -> int:
     return sum(len(g.members) - 1 for g in groups)
 
 
+def count_with_distinct(
+    ps: PowerPrefixSums, max_in_memory: int = DEFAULT_MAX_IN_MEMORY
+) -> tuple:
+    """The CountReport of ps and its number of distinct n <= x.
+
+    The count and the duplicate search read one starts_by_length.
+    """
+    counts = starts_by_length(ps)
+    report = report_of(ps, counts)
+    groups = _duplicate_groups({ps.k: ps}, {ps.k: counts}, max_in_memory)
+    return report, report.count - duplicate_surplus(groups)
+
+
 def distinct_count(
     x: int, k: int, max_in_memory: int = DEFAULT_MAX_IN_MEMORY
 ) -> int:
     """Number of distinct representable n <= x (count minus surplus)."""
-    ps = build(x, k)
-    total = count_sums(ps).count
-    groups = find_duplicates_from_prefix(ps, max_in_memory)
-    return total - duplicate_surplus(groups)
+    return count_with_distinct(build(x, k), max_in_memory)[1]

@@ -354,6 +354,23 @@ def length_counts(primes: list, k: int, x: int) -> dict:
     return counts
 
 
+def window_sums(primes: list, k: int, x: int) -> list:
+    """Every (n, b, m) with n <= x, for any ascending list, by direct summation.
+
+    n is the sum of the m powers from primes[b]; each start's powers
+    are added one at a time until the next would pass x.
+    """
+    rows = []
+    for b in range(len(primes)):
+        total = 0
+        for m, p in enumerate(primes[b:], 1):
+            total += p ** k
+            if total > x:
+                break
+            rows.append((total, b, m))
+    return rows
+
+
 def bisect_count(primes: list, k: int, x: int) -> tuple:
     """(x, k, count, max_run_length, prime_count) by one bisection per start.
 

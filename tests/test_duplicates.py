@@ -1,10 +1,12 @@
 import os
 import tempfile
+from math import gcd
 
 import pytest
 
 from primesums.counting import count_sums
 from primesums.duplicates import (
+    _power_modulus,
     distinct_count,
     duplicate_surplus,
     find_cross_power_duplicates,
@@ -42,7 +44,9 @@ def test_members_verify_and_are_distinct():
 
 
 def test_small_memory_cap_same_results_no_files(tmp_path, monkeypatch):
-    # the caps split the searches into 32 and 6 passes
+    # each search sorts one class of run lengths per pass: the caps cut
+    # the 24 square classes into 48 passes and the 2 classes of {2, 3}
+    # into 7
     temp = tmp_path / "temp"
     temp.mkdir()
     monkeypatch.setenv("TMPDIR", str(temp))
@@ -55,14 +59,61 @@ def test_small_memory_cap_same_results_no_files(tmp_path, monkeypatch):
     capped_cross = find_cross_power_duplicates(10 ** 5, {2, 3}, max_in_memory=100)
     assert capped_cross == cross
     assert distinct_count(10 ** 8, 2, **capped) == distinct_count(10 ** 8, 2)
-    # past 2^64 the value slices (13 and 14 passes) meet the cut of
-    # each range of starts into pieces spanning less than 2^64
-    past = dict(max_in_memory=10 ** 4)
+    # past 2^64 the value slices (1466 passes over 480 classes of k = 8,
+    # 1332 over the 24 of {8, 10}) meet the cut of each range of starts
+    # into pieces spanning less than 2^64
+    past = dict(max_in_memory=100)
     x = 10 ** 30
     assert find_duplicates(x, 8, **past) == find_duplicates(x, 8)
     assert distinct_count(x, 8, **past) == distinct_count(x, 8)
-    assert find_cross_power_duplicates(x, {8, 10}, **past) == find_cross_power_duplicates(x, {8, 10})
+    cross = find_cross_power_duplicates(x, {8, 10})
+    assert find_cross_power_duplicates(x, {8, 10}, **past) == cross
     assert os.listdir(temp) == []
+
+
+def test_tiny_memory_cap_same_results():
+    # about 6300 passes of a few keys each; a block is bisected only at
+    # the value bounds inside its own sums, so this stays linear
+    assert find_duplicates(10 ** 8, 2, max_in_memory=5) == find_duplicates(10 ** 8, 2)
+
+
+def carmichael_divides(k, modulus):
+    """Whether a^k = 1 (mod modulus) for every a prime to it, by trying each a."""
+    units = (a for a in range(1, modulus + 1) if gcd(a, modulus) == 1)
+    return all(pow(a, k, modulus) == 1 % modulus for a in units)
+
+
+def brute_power_modulus(k):
+    """The largest M with λ(M) | k: the largest such power of each prime q <= k + 1.
+
+    For a prime q > k + 1, λ(q) = q - 1 > k, so no larger prime divides M.
+    """
+    modulus = 1
+    for q in (q for q in range(2, k + 2) if all(q % d for d in range(2, q))):
+        power = 1
+        while carmichael_divides(k, power * q):
+            power *= q
+        modulus *= power
+    return modulus
+
+
+@pytest.mark.parametrize(
+    "k, expected",
+    [(2, 24), (3, 2), (4, 240), (6, 504), (8, 480), (10, 264), (64, 65280)],
+)
+def test_power_modulus_against_brute_force(k, expected):
+    assert _power_modulus(k) == brute_power_modulus(k) == expected
+    assert carmichael_divides(k, expected)
+    # every M with λ(M) | k divides M_k, so M_k is the largest
+    if k <= 6:
+        assert [m for m in range(1, 1100) if carmichael_divides(k, m)] == [
+            m for m in range(1, 1100) if expected % m == 0
+        ]
+
+
+def test_class_modulus_of_exponent_sets():
+    assert gcd(brute_power_modulus(2), brute_power_modulus(3)) == 2
+    assert gcd(brute_power_modulus(8), brute_power_modulus(10)) == 24
 
 
 def test_memory_cap_must_be_positive():

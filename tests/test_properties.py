@@ -7,24 +7,30 @@ against golden.direct_sums, which sums term by term from trial-division
 primes and shares no code with the package.  The enumerator and the CLI
 writer both read counting.start_runs, which is also checked on its own
 for how far ahead of its starts it reads.  The prefix-array counts are
-also checked over hand-built ascending lists whose sums pass 2^128.
+also checked over hand-built ascending lists whose sums pass 2^128,
+and so are the duplicate search and its split into passes, one class
+of run lengths each.
 """
 
 import io
 from collections import Counter
 from contextlib import redirect_stdout
 from itertools import accumulate
+from math import gcd
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from golden import direct_sums, length_counts, sweep_count, trial_primes
+from golden import direct_sums, length_counts, sweep_count, trial_primes, window_sums
 from primesums import sieve
 from primesums.cli import main
 from primesums.arith import UINT128_MAX, integer_kth_root
-from primesums.counting import count_rows, count_sums, count_up_to, start_runs
+from primesums.counting import count_rows, count_sums, count_up_to, start_runs, starts_by_length
 from primesums.duplicates import (
+    _passes,
+    _power_modulus,
     DEFAULT_MAX_IN_MEMORY,
     distinct_count,
     find_cross_power_duplicates,
@@ -271,3 +277,52 @@ def test_colliding_keys_are_separated_by_exact_sums():
         (group,) = find_duplicates_from_prefix(real, cap)
         assert group.n == ladder[-1] ** 2
         assert [(m.start_index, m.length) for m in group.members] == [(0, 2), (2, 1)]
+
+
+def held_windows(ps_by_k, cap):
+    """(n, k, b, m, pass, r) for every window that the search's passes hold."""
+    counts_by_k = {k: starts_by_length(ps) for k, ps in ps_by_k.items()}
+    held = []
+    for i, (r, parts, windows) in enumerate(_passes(np, ps_by_k, counts_by_k, cap)):
+        for k, m, lo, hi in parts:
+            f = ps_by_k[k].f
+            held += [(f[b + m] - f[b], k, b, m, i, r) for b in range(lo, hi)]
+        held += [(n, k, b, m, i, r) for n, k, b, m in windows]
+    return held
+
+
+def check_passes(ps_by_k, cap):
+    modulus = gcd(*map(_power_modulus, ps_by_k))
+    held = held_windows(ps_by_k, cap)
+    expected = [
+        (n, k, b, m) for k, ps in ps_by_k.items() for n, b, m in window_sums(ps.primes, k, ps.x)
+    ]
+    # each window lies in exactly one pass, whose class is its sum's
+    assert sorted(row[:4] for row in held) == sorted(expected)
+    assert all(n % modulus == r for n, *_, r in held)
+    pass_of = {}
+    assert all(pass_of.setdefault(n, i) == i for n, *_, i, _ in held)  # equal sums share one
+
+
+caps = st.sampled_from([1, 7, DEFAULT_MAX_IN_MEMORY])
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10 ** 6), st.sets(st.integers(2, 10), min_size=1, max_size=2), caps)
+def test_passes_hold_each_window_once_in_its_class(x, ks, cap):
+    check_passes({k: build(x, k) for k in ks}, cap)
+
+
+@settings(deadline=None)
+@given(hand_built, caps)
+@example(([3, 4, 5], 2, 25), 1)  # 3^2 + 4^2 = 5^2: two windows before e, one after
+def test_passes_and_duplicates_over_hand_built_lists(case, cap):
+    primes, k, x = case
+    ps = build_from_primes(primes, k, x)
+    check_passes({k: ps}, cap)
+    runs_of = {}
+    for n, b, m in window_sums(primes, k, x):
+        runs_of.setdefault(n, []).append((b, m))
+    expected = [(n, runs) for n, runs in sorted(runs_of.items()) if len(runs) > 1]
+    groups = find_duplicates_from_prefix(ps, cap)
+    assert [(g.n, [(r.start_index, r.length) for r in g.members]) for g in groups] == expected
