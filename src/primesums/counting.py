@@ -65,14 +65,17 @@ each start's sums come out as soon as its run is known, in the memory
 of the longest run.  It is the one loop that turns runs into sums, for
 enumeration.enumerate_sums and the CLI's enumerate alike.
 
-Only powers <= x enter a window, so every start has a run of at least
-one term.
+Every stream of powers ends with one power past x: that of the first
+prime past the root, or x + 1 where the primes stop before it.  It
+completes each open start's run through the same loop, and its own run
+is 0, which ends the stream: every start before it has a run of at
+least one term.
 """
 
 import math
 from bisect import bisect_right
 from collections import deque
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat, takewhile
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -131,21 +134,17 @@ class _Window:
                 total -= window.popleft()
         self.total = total
 
-    def rest(self) -> range:
-        """The runs of the open starts once the stream has ended: each runs to its end."""
-        return range(len(self.open), 0, -1)
-
 
 def run_lengths(powers: Iterable[int], x: int) -> Iterator[int]:
     """For each start in order, the most consecutive powers from it summing to <= x.
 
     powers is any ascending iterable of positive p^k; it is read lazily,
     one power past the first start's run before that run is yielded.
-    A power above x on its own gives its start a run of length 0.
+    x + 1 follows the powers.  The first power past x, one of powers or
+    x + 1, completes every open run and has a run of 0 itself, which
+    ends the runs: no start from it on has one.
     """
-    window = _Window(x)
-    yield from window.runs(powers)
-    yield from window.rest()
+    return takewhile(bool, _Window(x).runs(chain(powers, (x + 1,))))
 
 
 def start_runs(primes: Iterable[int], k: int, x: int) -> Iterator[tuple]:
@@ -155,8 +154,8 @@ def start_runs(primes: Iterable[int], k: int, x: int) -> Iterator[tuple]:
     primes, an ascending iterable read lazily by run_lengths, so the
     sums from b are f[b+1] - f[b], ..., f[b+run] - f[b].  Only the
     prefix sums from the current start on are kept, trimmed every
-    TRIM_STARTS starts.  The first start whose power exceeds x ends the
-    stream, since no later start has a run either.
+    TRIM_STARTS starts.  The runs end at the first start whose power
+    exceeds x, or with the primes.
     """
     starts = deque()
     sums = [0]
@@ -172,8 +171,6 @@ def start_runs(primes: Iterable[int], k: int, x: int) -> Iterator[tuple]:
             yield power
 
     for run in run_lengths(powers(), x):
-        if not run:
-            return
         yield starts.popleft(), sums[head], sums[head + 1 : head + run + 1]
         head += 1
         if head == TRIM_STARTS:
@@ -243,20 +240,22 @@ class _Row:
     def push(self, powers: list) -> None:
         """Sweep ascending powers until a run of L terms or fewer completes.
 
-        A power past x ends the row's powers: the rest of the list is
-        dropped and the open starts run to the end.
+        The first power past x completes every open run and has a run
+        of 0 itself, so it ends the sweep; the powers after it are not
+        read.
         """
         if self.window is None:
             return
-        ended = powers and powers[-1] > self.x
-        if ended:
-            powers = powers[: bisect_right(powers, self.x)]
         long = len(self.crossovers)
         runs = self.window.runs(powers)
         if not self.first:
-            # the first run to complete is the first start's, the longest
-            self.first = next(runs, 0)
-            runs = chain((self.first,), runs) if self.first else runs
+            # the first run to complete is the first start's, the longest;
+            # one of 0 (x < 2^k) ends the sweep below as any other would
+            first = next(runs, None)
+            if first is None:
+                return
+            self.first = first
+            runs = chain((first,), runs)
         total = 0
         for run in runs:
             if run <= long:
@@ -264,18 +263,6 @@ class _Row:
                 break
             total += run - long
         self.count += total
-        if ended:
-            self.end()
-
-    def end(self) -> None:
-        """No powers are left: each open start runs to the end."""
-        if self.window is not None:
-            # the open runs are len(open), len(open) - 1, ..., 1, and
-            # those past L terms add 1 + 2 + ... + over
-            over = len(self.window.open) - len(self.crossovers)
-            self.first = self.first or len(self.window.open)
-            self.count += over * (over + 1) // 2 if over > 0 else 0
-            self.window = None
 
     def cross(self, j: int, below: int, f: list, base: int) -> None:
         """Count c_j, the starts whose first j terms sum to at most x.
@@ -413,7 +400,8 @@ def _reports(rows: list, k: int, limit: int) -> Iterator[CountReport]:
             for row in sweeping:
                 row.push(powers)
                 if row.root < end:
-                    row.end()
+                    # every prime up to the root is pushed: x + 1 ends the row
+                    row.push([row.x + 1])
             sweeping = [row for row in sweeping if row.window is not None]
         below, counted = seen, 0  # below counts the primes before the number counted
         while m < len(marks) and marks[m][0] < end:

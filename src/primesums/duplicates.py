@@ -2,7 +2,9 @@
 
 Every run is a window f[b+m] - f[b] of the prefix sums.  The search
 sorts 64-bit keys instead of the sums: with g = f mod 2^64, a window's
-key g[b+m] - g[b] is n mod 2^64, which is n itself when x < 2^64.  The
+key g[b+m] - g[b] is n mod 2^64, which is n itself when x < 2^64.  g
+is the running sum of the primes' k-th powers in uint64, which wrap
+at 2^64 as g does, so it is made in numpy from the primes alone.  The
 starts whose run has m or more terms are 0 .. reach-1, with reach
 c_m of counting.starts_by_length, and form the block (k, m); one numpy
 subtraction gives all its keys, and sorting the keys and comparing
@@ -22,11 +24,12 @@ the class's keys, matched on their exact sums.  A pass sorts about
 keys/G keys, and runs with equal sums share a class.
 
 A class with more keys than the in-memory cap is cut into value
-slices, P = ceil(keys / cap) in all: slice i holds the sums from
-v_i = x * (i/P)^((k+1)/2), as the runs up to v number about
-v^(2/(k+1)).  For fixed m the sums rise with b, so a block's part of a
-slice is one range of starts, found by bisection on the exact sums,
-and only the bounds inside the block's own sums cut it.
+slices, P = ceil(keys / cap) in all: slice i holds the sums from v_i,
+where the runs up to v_i are i/P of those up to x by the shape of
+their count, v^(2/(k+1)) / (ln v)^(2k/(k+1)).  For fixed m the sums
+rise with b, so a block's part of a slice is one range of starts,
+found by bisection on the exact sums, and only the bounds inside the
+block's own sums cut it.
 
 Equal sums share a pass, so each pass's repeated keys are searched
 back into its own ranges.  These are cut into pieces whose sums span
@@ -40,7 +43,7 @@ never search for duplicates do not pay for loading it.
 """
 
 from bisect import bisect_left, bisect_right
-from math import gcd
+from math import exp, gcd, log
 from typing import NamedTuple
 
 from .counting import report_of, starts_by_length
@@ -76,15 +79,42 @@ def _power_modulus(k: int) -> int:
     return modulus
 
 
+def _slice_bounds(x: int, k: int, count: int) -> list:
+    """v_1 <= ... <= v_{count-1}, which cut the runs up to x into count slices.
+
+    The runs up to v number about v^(2/(k+1)) / (ln v)^(2k/(k+1)), so
+    with u = ln v the slices hold equal shares of e^(2 s(u) / (k+1)),
+    s(u) = u - k ln u.  s falls below u = k, and there it is continued
+    as u - k ln k, which gives v_i = x (i/count)^((k+1)/2) for x < e^k.
+    Each u_i is found by bisection, with the same bracket and steps for
+    every i, so the bounds ascend for every x, k and count.
+    """
+
+    def s(u: float) -> float:
+        return u - k * log(max(u, k))
+
+    top = log(x)
+    peak = s(top)
+    # s(low) is below every target: the line through s(k) rises with slope 1
+    low = min(top, k) - (k + 1) / 2 * log(count) - 1
+    bounds = []
+    for i in range(1, count):
+        target = peak + (k + 1) / 2 * log(i / count)
+        lo, hi = low, top
+        for _ in range(64):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if s(mid) < target else (lo, mid)
+        bounds.append(int(exp(hi)))
+    return bounds
+
+
 def _value_slices(ps_by_k: dict, parts: list, windows: list, max_in_memory: int) -> list:
     """(parts, windows) per value slice of one class."""
     keys = len(windows) + sum(hi - lo for *_, lo, hi in parts)
     count = -(-keys // max_in_memory)
     if count <= 1:
         return [(parts, windows)]
-    x = max(ps.x for ps in ps_by_k.values())
-    power = (min(ps_by_k) + 1) / 2
-    bounds = [int(x * (i / count) ** power) for i in range(1, count)]
+    bounds = _slice_bounds(max(ps.x for ps in ps_by_k.values()), min(ps_by_k), count)
     slices = [([], []) for _ in range(count)]
     for k, m, lo, hi in parts:
         window = window_sum(ps_by_k[k].f, m)
@@ -98,19 +128,32 @@ def _value_slices(ps_by_k: dict, parts: list, windows: list, max_in_memory: int)
     return slices
 
 
-def _passes(np, ps_by_k: dict, counts_by_k: dict, max_in_memory: int):
+def _keys(np, ps: PowerPrefixSums, modulus: int) -> tuple:
+    """g = f mod 2^64 of ps, and its index e, from one uint64 array of its primes.
+
+    g is 0 and then the running sum of the k-th powers of the primes,
+    both wrapping at 2^64, made in place in g.
+    """
+    primes = np.fromiter(ps.primes, dtype=np.uint64, count=len(ps.primes))
+    # as lambda(G) divides k, p^k = 1 (mod G) exactly when p is prime to G
+    others = np.flatnonzero(np.gcd(primes, modulus) > 1)
+    keys = np.zeros(len(primes) + 1, dtype=np.uint64)
+    np.power(primes, ps.k, out=keys[1:])
+    np.cumsum(keys[1:], out=keys[1:])
+    return keys, int(others[-1]) + 1 if len(others) else 0
+
+
+def _passes(np, ps_by_k: dict, counts_by_k: dict, max_in_memory: int, keys_of: dict):
     """(r, parts, windows) per pass, all of whose sums are r mod G.
 
     parts are ranges (k, m, lo, hi) of starts, windows are (n, k, b, m)
-    with b before e.
+    with b before e.  Before the first pass, keys_of[k] is set to the
+    keys of each exponent, from _keys.
     """
     modulus = gcd(*map(_power_modulus, ps_by_k))
     classes = {}
     for k, ps in ps_by_k.items():
-        primes = np.fromiter(ps.primes, dtype=np.uint64, count=len(ps.primes))
-        # as lambda(G) divides k, p^k = 1 (mod G) exactly when p is prime to G
-        others = np.flatnonzero(np.gcd(primes, modulus) > 1)
-        e = int(others[-1]) + 1 if len(others) else 0
+        keys_of[k], e = _keys(np, ps, modulus)
         for m, reach in enumerate(counts_by_k[k], 1):
             if e < reach:
                 classes.setdefault(m % modulus, ([], []))[0].append((k, m, e, reach))
@@ -178,12 +221,9 @@ def _duplicate_groups(ps_by_k: dict, counts_by_k: dict, max_in_memory: int) -> l
         raise ValueError(f"max_in_memory must be positive, got {max_in_memory}")
     import numpy as np
 
-    keys_of = {
-        k: np.fromiter((v % _WRAP for v in ps.f), dtype=np.uint64, count=len(ps.f))
-        for k, ps in ps_by_k.items()
-    }
+    keys_of = {}
     rows_by_n = {}
-    for _, parts, windows in _passes(np, ps_by_k, counts_by_k, max_in_memory):
+    for _, parts, windows in _passes(np, ps_by_k, counts_by_k, max_in_memory, keys_of):
         repeated = _repeated_keys(np, keys_of, parts, windows)
         if not len(repeated):
             continue

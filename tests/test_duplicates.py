@@ -1,12 +1,16 @@
+import math
 import os
 import tempfile
 from math import gcd
 
+import numpy as np
 import pytest
 
-from primesums.counting import count_sums
+from primesums.counting import count_sums, starts_by_length
 from primesums.duplicates import (
+    _passes,
     _power_modulus,
+    _slice_bounds,
     distinct_count,
     duplicate_surplus,
     find_cross_power_duplicates,
@@ -75,6 +79,33 @@ def test_tiny_memory_cap_same_results():
     # about 6300 passes of a few keys each; a block is bisected only at
     # the value bounds inside its own sums, so this stays linear
     assert find_duplicates(10 ** 8, 2, max_in_memory=5) == find_duplicates(10 ** 8, 2)
+
+
+@pytest.mark.parametrize("x, k", [(10 ** 13, 2), (10 ** 18, 3), (10 ** 30, 5)])
+def test_value_slices_keep_to_the_cap(x, k):
+    # the bounds follow the count of runs up to v with its log factor:
+    # the bare power x (i/P)^((k+1)/2) put 9-12% past the cap here, in
+    # the lowest slice
+    ps = build(x, k)
+    counts = starts_by_length(ps)
+    cap = sum(counts) // (4 * _power_modulus(k))  # about 4 slices a class
+    held = [
+        len(windows) + sum(hi - lo for *_, lo, hi in parts)
+        for _, parts, windows in _passes(np, {k: ps}, {k: counts}, cap, {})
+    ]
+    assert sum(held) == sum(counts)
+    assert max(held) <= 1.02 * cap
+
+
+def test_slice_bounds_ascend():
+    # the count's shape falls below v = e^k, where the bounds follow
+    # the bare power; hand-built lists may have any x
+    for k in (2, 3, 5, 8, 20, 64):
+        for x in (1, 2, 13, 10 ** 5, int(math.exp(k)), 10 ** 30, 2 ** 128 - 1):
+            for count in (2, 3, 10, 100):
+                bounds = _slice_bounds(x, k, count)
+                assert len(bounds) == count - 1
+                assert all(0 <= a <= b <= x for a, b in zip(bounds, bounds[1:]))
 
 
 def carmichael_divides(k, modulus):

@@ -8,8 +8,8 @@ primes and shares no code with the package.  The enumerator and the CLI
 writer both read counting.start_runs, which is also checked on its own
 for how far ahead of its starts it reads.  The prefix-array counts are
 also checked over hand-built ascending lists whose sums pass 2^128,
-and so are the duplicate search and its split into passes, one class
-of run lengths each.
+and so are the duplicate search, its numpy keys and its split into
+passes, one class of run lengths each.
 """
 
 import io
@@ -29,6 +29,7 @@ from primesums.cli import main
 from primesums.arith import UINT128_MAX, integer_kth_root
 from primesums.counting import count_rows, count_sums, count_up_to, start_runs, starts_by_length
 from primesums.duplicates import (
+    _keys,
     _passes,
     _power_modulus,
     DEFAULT_MAX_IN_MEMORY,
@@ -283,7 +284,7 @@ def held_windows(ps_by_k, cap):
     """(n, k, b, m, pass, r) for every window that the search's passes hold."""
     counts_by_k = {k: starts_by_length(ps) for k, ps in ps_by_k.items()}
     held = []
-    for i, (r, parts, windows) in enumerate(_passes(np, ps_by_k, counts_by_k, cap)):
+    for i, (r, parts, windows) in enumerate(_passes(np, ps_by_k, counts_by_k, cap, {})):
         for k, m, lo, hi in parts:
             f = ps_by_k[k].f
             held += [(f[b + m] - f[b], k, b, m, i, r) for b in range(lo, hi)]
@@ -326,3 +327,15 @@ def test_passes_and_duplicates_over_hand_built_lists(case, cap):
     expected = [(n, runs) for n, runs in sorted(runs_of.items()) if len(runs) > 1]
     groups = find_duplicates_from_prefix(ps, cap)
     assert [(g.n, [(r.start_index, r.length) for r in g.members]) for g in groups] == expected
+
+
+@settings(deadline=None)
+@given(hand_built, stream_cases)
+def test_keys_are_the_prefix_sums_mod_2_64(case, stream_case):
+    # numpy's wrapping powers and running sum against Python's ints
+    for ps in (build_from_primes(*case), build(*stream_case)):
+        modulus = _power_modulus(ps.k)
+        keys, e = _keys(np, ps, modulus)
+        assert keys.tolist() == [v % 2 ** 64 for v in ps.f]
+        others = [i for i, p in enumerate(ps.primes) if gcd(p, modulus) > 1]
+        assert e == (others[-1] + 1 if others else 0)
