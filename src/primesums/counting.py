@@ -7,7 +7,10 @@ moves back as b grows, so a _Window sweeps once across an ascending
 stream of powers: it adds each new power, and while the window sum
 exceeds x the first start's run is complete.  _Window.runs is the
 package's only two-pointer loop.  The sweep holds only the current
-window, so it needs no prime list and no prefix array.
+window, so it needs no prime list and no prefix array.  It holds the
+window as its primes, 8 bytes an open start, and the sum of their
+powers as one int: each prime is raised to the k-th power again, in C,
+as its start leaves.
 
 Runs shrink as the start grows, and most starts have runs of a few
 terms, which follow from prime counts alone.  Let c_j be the number of
@@ -28,14 +31,15 @@ L balances the two costs.  A crossover costs one bisection over its
 undecided starts, a count of flags and some bookkeeping, about 8 us
 (CPython 3.11, 2 vCPUs); it saves the sweep of the starts between
 g_{j+1} and g_j, about (g_j - g_{j+1}) / ln g_j of them, at about
-0.26 us each.  So a
-crossover pays while it replaces some 32 starts or more, and L is the
-first j at which g_j - g_{j+1} < 32 ln g_j.  L follows from (x, k)
-alone: it is 1089 for x = 10^15, k = 2, 468 for 10^20, k = 3, 357 for
-10^32, k = 5, and 1 for every square row below 514089 = 717^2.  The
-balance is flat: the
-paper's k = 2, 3 and 5 tables count in the same time, within noise,
-with 16 or 64 in place of 32.
+0.26 us each, and 1.2 (k = 2) to 1.7 (k = 5) times that since a window
+raises each start's prime again as it leaves.  So a crossover pays
+while it replaces some 20 to 32 starts or more, and L is the first j
+at which g_j - g_{j+1} < 32 ln g_j.  L follows from (x, k) alone: it is
+1089 for x = 10^15, k = 2, 468 for 10^20, k = 3, 357 for 10^32, k = 5,
+and 1 for every square row below 514089 = 717^2.  The balance is flat:
+the paper's k = 2, 3 and 5 tables count in the same time, within
+noise, with 16 or 64 in place of 32, and with 16 or 24 since the
+window raises its primes again.
 
 count_rows counts a whole table from one sieve pass up to the largest
 row's root.  The sieve hands over each sub-block's flags, and this
@@ -51,9 +55,11 @@ further; where their primes overlap, each prime is raised and summed
 once.  A sub-block's flags are kept only while a crossover may still
 read its primes, and a row is reported, in order, as soon as its sweep
 is over and its crossovers are counted.  The memory is the sieve's base
-primes and one segment, one block's powers, each sweeping row's window,
-and the flags and prefix around the last L primes and the pending
-crossovers.  count_up_to is the one-row case.
+primes and one segment, one block's primes and powers, each sweeping
+row's window at 8 bytes an open start, and the flags and prefix around
+the last L primes and the pending crossovers.  So a row's first run,
+the widest window, costs 8 bytes a term: 8.2 MB for the 1,030,417
+terms at x = 10^27, k = 3.  count_up_to is the one-row case.
 A prefix array f needs none of this: the sums f[b + m] - f[b] of m
 terms rise with the start b, so starts_by_length takes each c_m by one
 bisection of them.  count_sums adds the c_m up, and the length
@@ -66,13 +72,15 @@ of the longest run.  It is the one loop that turns runs into sums, for
 enumeration.enumerate_sums and the CLI's enumerate alike.
 
 Every stream of powers ends with one power past x: that of the first
-prime past the root, or x + 1 where the primes stop before it.  It
+prime past the root, or x + 1, which comes with no prime, where the
+primes stop before it.  It
 completes each open start's run through the same loop, and its own run
 is 0, which ends the stream: every start before it has a run of at
 least one term.
 """
 
 import math
+from array import array
 from bisect import bisect_right
 from collections import deque
 from itertools import accumulate, chain, islice, repeat, takewhile
@@ -92,7 +100,8 @@ from .sieve import (
     sieve_blocks,
 )
 
-# starts start_runs yields between drops of the prefix sums behind them
+# starts between drops of what a window and start_runs keep of the
+# starts behind them
 TRIM_STARTS = 1 << 12
 
 
@@ -105,72 +114,112 @@ class CountReport(NamedTuple):
 
 
 class _Window:
-    """The powers of the starts whose runs are still open, and their sum."""
+    """The primes of the starts whose runs are still open, and the sum of their powers.
 
-    __slots__ = ("x", "open", "total")
+    The array primes holds those primes, 8 bytes a start, after those of
+    fewer than TRIM_STARTS starts that have left.  leaving raises each
+    prime to the k-th power again, in C, as its start leaves: it maps
+    pow over the array itself, so it also reads the primes pushed after
+    it was made.  It stops after TRIM_STARTS primes, which are then
+    deleted, and leaving is made again from the first prime left.
+    """
 
-    def __init__(self, x: int):
+    __slots__ = ("x", "k", "primes", "width", "leaving", "total")
+
+    def __init__(self, x: int, k: int):
         self.x = x
-        self.open = deque()
+        self.k = k
+        self.primes = array("Q")
+        self.width = 0  # the starts whose runs are open
+        self.leaving = map(pow, self.primes, repeat(k, TRIM_STARTS))
         self.total = 0
 
-    def runs(self, powers: Iterable[int]) -> Iterator[int]:
-        """Push ascending positive powers; yield the run of each start they complete.
+    def runs(self, primes: Iterable[int], powers: Iterable[int]) -> Iterator[int]:
+        """Push ascending primes and their powers; yield the run of each start they complete.
 
-        powers is read lazily, one power past a start's run before that
-        run is yielded.  The sum is stored when powers is used up, so
-        each call must be run out before the next.  A power above x on
-        its own gives its start a run of length 0.
+        primes are below 2^64 and go into the window at once.  powers
+        holds their k-th powers in order, read lazily, one power past a
+        start's run before that run is yielded; after them it may hold
+        one power past x that has no prime, as x + 1 ends a stream.  A
+        power past x completes every open run and has a run of 0 itself;
+        with a prime it then leaves as any start does, and with none it
+        ends the runs.  The state is stored when powers is used up, so
+        each call must be run out before the next.
         """
-        window = self.open
         x = self.x
+        width = self.width
+        leaving = self.leaving
         total = self.total
+        window = self.primes
+        window.extend(primes)
         for power in powers:
-            window.append(power)
             total += power
             while total > x:
                 # the window before this power was the first start's run
-                yield len(window) - 1
-                total -= window.popleft()
+                yield width
+                try:
+                    total -= next(leaving)
+                except StopIteration:
+                    if len(window) <= TRIM_STARTS:
+                        return  # a power with no prime ended the stream
+                    del window[:TRIM_STARTS]
+                    leaving = map(pow, window, repeat(self.k, TRIM_STARTS))
+                    total -= next(leaving)
+                width -= 1
+            width += 1
+        self.width = width
+        self.leaving = leaving
         self.total = total
 
 
-def run_lengths(powers: Iterable[int], x: int) -> Iterator[int]:
+def _runs(pairs: Iterable[tuple], k: int, x: int) -> Iterator[int]:
+    """The runs of the starts of ascending (p, p^k) pairs, pushed one at a time.
+
+    x + 1 follows the pairs.  The first power past x, of a pair or
+    x + 1, completes every open run and has a run of 0 itself, where the
+    callers stop: no start from it on has a run.
+    """
+    window = _Window(x, k)
+    for p, power in pairs:
+        yield from window.runs((p,), (power,))
+    yield from window.runs((), (x + 1,))
+
+
+def run_lengths(primes: Iterable[int], k: int, x: int) -> Iterator[int]:
     """For each start in order, the most consecutive powers from it summing to <= x.
 
-    powers is any ascending iterable of positive p^k; it is read lazily,
-    one power past the first start's run before that run is yielded.
-    x + 1 follows the powers.  The first power past x, one of powers or
-    x + 1, completes every open run and has a run of 0 itself, which
-    ends the runs: no start from it on has one.
+    primes is any ascending iterable of primes below 2^64; it is read
+    lazily, one prime past the first start's run before that run is
+    yielded.  The runs end at the first start whose power exceeds x, or
+    with the primes.
     """
-    return takewhile(bool, _Window(x).runs(chain(powers, (x + 1,))))
+    return takewhile(bool, _runs(((p, p ** k) for p in primes), k, x))
 
 
 def start_runs(primes: Iterable[int], k: int, x: int) -> Iterator[tuple]:
     """For each start b with a run, in order: (p, f[b], [f[b+1], ..., f[b+run]]).
 
     p is the start's prime and f the prefix sums of the k-th powers of
-    primes, an ascending iterable read lazily by run_lengths, so the
-    sums from b are f[b+1] - f[b], ..., f[b+run] - f[b].  Only the
-    prefix sums from the current start on are kept, trimmed every
-    TRIM_STARTS starts.  The runs end at the first start whose power
-    exceeds x, or with the primes.
+    primes, an ascending iterable of primes below 2^64 read lazily as
+    run_lengths reads it, so the sums from b are f[b+1] - f[b], ...,
+    f[b+run] - f[b].  Only the prefix sums from the current start on
+    are kept, trimmed every TRIM_STARTS starts.  The runs end at the
+    first start whose power exceeds x, or with the primes.
     """
     starts = deque()
     sums = [0]
     head = 0  # sums[head] is f[b] of the current start b
 
-    def powers():
+    def pairs():
         total = 0
         for p in primes:
             power = p ** k
             total += power
             starts.append(p)
             sums.append(total)
-            yield power
+            yield p, power
 
-    for run in run_lengths(powers(), x):
+    for run in takewhile(bool, _runs(pairs(), k, x)):
         yield starts.popleft(), sums[head], sums[head + 1 : head + run + 1]
         head += 1
         if head == TRIM_STARTS:
@@ -229,7 +278,7 @@ class _Row:
         self.x = x
         self.k = k
         self.crossovers = g
-        self.window = _Window(x)  # None once the sweep is over
+        self.window = _Window(x, k)  # None once the sweep is over
         self.count = self.first = self.primes = 0
         self.open = len(g)  # crossovers not yet counted
 
@@ -237,17 +286,18 @@ class _Row:
     def root(self) -> int:
         return self.crossovers[0]
 
-    def push(self, powers: list) -> None:
-        """Sweep ascending powers until a run of L terms or fewer completes.
+    def push(self, primes: Iterable[int], powers: Iterable[int]) -> None:
+        """Sweep ascending primes until a run of L terms or fewer completes.
 
-        The first power past x completes every open run and has a run
-        of 0 itself, so it ends the sweep; the powers after it are not
-        read.
+        powers holds their k-th powers, and may end with one past x that
+        has no prime.  The first power past x completes every open run
+        and has a run of 0 itself, so it ends the sweep; the powers after
+        it are not read.
         """
         if self.window is None:
             return
         long = len(self.crossovers)
-        runs = self.window.runs(powers)
+        runs = self.window.runs(primes, powers)
         if not self.first:
             # the first run to complete is the first start's, the longest;
             # one of 0 (x < 2^k) ends the sweep below as any other would
@@ -396,12 +446,13 @@ def _reports(rows: list, k: int, limit: int) -> Iterator[CountReport]:
         end = block_end(first, flags)  # every number below end is sieved
         kept.append(_Block(seen + count_flags(flags), first, flags))
         if sweeping:
-            powers = list(map(pow, block_primes(first, flags), repeat(k)))
+            primes = block_primes(first, flags)
+            powers = list(map(pow, primes, repeat(k)))
             for row in sweeping:
-                row.push(powers)
+                row.push(primes, powers)
                 if row.root < end:
                     # every prime up to the root is pushed: x + 1 ends the row
-                    row.push([row.x + 1])
+                    row.push((), (row.x + 1,))
             sweeping = [row for row in sweeping if row.window is not None]
         below, counted = seen, 0  # below counts the primes before the number counted
         while m < len(marks) and marks[m][0] < end:

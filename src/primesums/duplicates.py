@@ -114,7 +114,10 @@ def _value_slices(ps_by_k: dict, parts: list, windows: list, max_in_memory: int)
     count = -(-keys // max_in_memory)
     if count <= 1:
         return [(parts, windows)]
-    bounds = _slice_bounds(max(ps.x for ps in ps_by_k.values()), min(ps_by_k), count)
+    # every sum searched is at most x and at most its list's f[-1], which
+    # stays below e^709 where a hand-built x may not
+    top = min(max(ps.x for ps in ps_by_k.values()), max(ps.f[-1] for ps in ps_by_k.values()))
+    bounds = _slice_bounds(top, min(ps_by_k), count)
     slices = [([], []) for _ in range(count)]
     for k, m, lo, hi in parts:
         window = window_sum(ps_by_k[k].f, m)

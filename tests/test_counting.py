@@ -12,6 +12,7 @@ from golden import (
     length_counts,
     naive_window_count,
     sweep_count,
+    window_sums,
 )
 from primesums import counting, sieve
 from primesums.arith import UINT128_MAX, integer_kth_root
@@ -115,27 +116,59 @@ def test_primes_past_the_root_are_not_counted():
     ],
 )
 def test_run_lengths_examples(powers, x, expected):
-    assert list(run_lengths(powers, x)) == expected
-    assert list(run_lengths(iter(powers), x)) == expected
+    primes = [integer_kth_root(q, 2) for q in powers]
+    assert list(run_lengths(primes, 2, x)) == expected
+    assert list(run_lengths(iter(primes), 2, x)) == expected
 
 
 def test_run_lengths_reads_one_power_past_the_first_run():
     # enumerate | head needs the first run before the whole stream is read
     read = []
 
-    def powers():
+    def primes():
         for p in (2, 3, 5, 7, 11, 13):
             read.append(p)
-            yield p * p
+            yield p
 
-    runs = run_lengths(powers(), 40)
+    runs = run_lengths(primes(), 2, 40)
     assert next(runs) == 3  # 4 + 9 + 25
     assert read == [2, 3, 5, 7]
 
 
+@pytest.mark.parametrize("trim", [1, 2, 3, 4, 4096])
+def test_window_powers_past_x(monkeypatch, trim):
+    # a power past x completes every open run and has a run of 0; with a
+    # prime it then leaves as any start does, and with none it ends the runs
+    monkeypatch.setattr(counting, "TRIM_STARTS", trim)
+    window = counting._Window(100, 2)
+    assert list(window.runs([2, 3, 5], [4, 9, 25])) == []
+    assert list(window.runs([7, 11, 13], [49, 121, 169])) == [4, 3, 2, 1, 0, 0]
+    assert list(window.runs([17], [289])) == [0]
+    window = counting._Window(100, 2)
+    assert list(window.runs([2, 3, 5, 7], [4, 9, 25, 49, 101])) == [4, 3, 2, 1, 0]
+
+
+def test_window_at_the_top_of_uint64():
+    # the window holds these primes in 8-byte unsigned ints, and x + 1 = 2^128 ends it
+    primes = [18446744073709551533, 18446744073709551557]
+    x = UINT128_MAX
+    ps = build_from_primes(primes, 2, x)
+    expected = window_sums(primes, 2, x)
+    assert [(r.n, r.start_index, r.length) for r in enumerate_sums(ps)] == expected
+    rows = [
+        (ft - fb, b, m)
+        for b, (p, fb, ends) in enumerate(start_runs(primes, 2, x))
+        for m, ft in enumerate(ends, 1)
+    ]
+    assert rows == expected == [(primes[0] ** 2, 0, 1), (primes[1] ** 2, 1, 1)]
+    assert list(run_lengths(primes, 2, x)) == [1, 1]
+    assert count_sums(ps) == sweep_count(primes, 2, x)
+
+
 @pytest.mark.parametrize("trim", [1, 2, 7])
 def test_start_runs_across_trims(monkeypatch, trim):
-    # the prefix sums behind the start are dropped every TRIM_STARTS starts
+    # the prefix sums and the window's primes behind the start are dropped
+    # every TRIM_STARTS starts
     monkeypatch.setattr(counting, "TRIM_STARTS", trim)
     for x, k in ((10 ** 6, 2), (10 ** 9, 3)):
         rows = [
@@ -144,6 +177,14 @@ def test_start_runs_across_trims(monkeypatch, trim):
             for m, ft in enumerate(ends, 1)
         ]
         assert rows == direct_sums(x, k)
+
+
+@pytest.mark.parametrize("trim", [1, 2, 7])
+def test_count_rows_across_window_drops(monkeypatch, trim):
+    # a row's window drops the primes of the starts behind it every trim
+    # starts, within and across sieve blocks
+    monkeypatch.setattr(counting, "TRIM_STARTS", trim)
+    check_against_the_sweep([10 ** 8, 10 ** 10, 10 ** 12], 2)
 
 
 def prefix_counts(xs, k):
@@ -227,6 +268,26 @@ def test_finished_row_releases_the_shared_powers():
         tracemalloc.stop()
     assert [r.count for r in reports] == [37, 8867094]
     assert peak < 2 * 2 ** 20
+
+
+def traced(f):
+    """f() and its traced peak, in bytes."""
+    tracemalloc.start()
+    try:
+        return f(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_first_run_costs_eight_bytes_a_term():
+    # the window holds each open start's prime in 8 bytes, where a Python-int
+    # power and its deque slot took about 40: the 26,121 terms of this first
+    # run add ~0.16 MB to the sieve's own peak, against ~1 MB as powers
+    x, k = 10 ** 31, 5
+    report, peak = traced(lambda: count_up_to(x, k))
+    _, sieve_peak = traced(lambda: sum(1 for _ in sieve_blocks(integer_kth_root(x, k))))
+    assert report.max_run_length == 26121
+    assert peak - sieve_peak < 12 * 26121
 
 
 def swept(xs, k):

@@ -15,9 +15,10 @@ from primesums.duplicates import (
     duplicate_surplus,
     find_cross_power_duplicates,
     find_duplicates,
+    find_duplicates_from_prefix,
 )
 from primesums.enumeration import enumerate_sums
-from primesums.prefix import build
+from primesums.prefix import build, build_from_primes
 
 
 def test_smallest_square_duplicate():
@@ -106,6 +107,12 @@ def test_slice_bounds_ascend():
                 bounds = _slice_bounds(x, k, count)
                 assert len(bounds) == count - 1
                 assert all(0 <= a <= b <= x for a, b in zip(bounds, bounds[1:]))
+
+
+def test_slices_stop_at_the_largest_sum():
+    # x past 1.8e308 overflows a float, but the sums of the list stay far below it
+    for primes, k, cap in (([2, 3, 5, 7], 2, 1), ([2, 3, 5, 7, 11, 13], 3, 2)):
+        assert find_duplicates_from_prefix(build_from_primes(primes, k, 10 ** 400), cap) == []
 
 
 def carmichael_divides(k, modulus):
