@@ -15,7 +15,7 @@ import stat
 import sys
 
 from .bounds import bound_estimate, floor_lower_bound, floor_upper_bound
-from .counting import count_rows, count_up_to, start_runs
+from .counting import TRIM_STARTS, count_rows, count_up_to, start_runs
 from .duplicates import (
     count_with_distinct,
     find_cross_power_duplicates_from_prefixes,
@@ -145,9 +145,11 @@ def _run_enumerate(args: argparse.Namespace, sink) -> None:
     sep = _sep(args)
     _header(args, sink, ("n", "start_prime"))
     for p, fb, ends in start_runs(primes, args.k, args.x):
-        # one write per start: every run from it shares its start prime
+        # one write per TRIM_STARTS runs of a start, which share its
+        # start prime, so a long first run is never one string
         tail = f"{sep}{p}\n"
-        sink.write(tail.join([str(ft - fb) for ft in ends]) + tail)
+        for i in range(0, len(ends), TRIM_STARTS):
+            sink.write(tail.join([str(ft - fb) for ft in ends[i : i + TRIM_STARTS]]) + tail)
 
 
 def _run_count(args: argparse.Namespace, sink) -> None:

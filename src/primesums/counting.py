@@ -55,11 +55,13 @@ further; where their primes overlap, each prime is raised and summed
 once.  A sub-block's flags are kept only while a crossover may still
 read its primes, and a row is reported, in order, as soon as its sweep
 is over and its crossovers are counted.  The memory is the sieve's base
-primes and one segment, one block's primes and powers, each sweeping
-row's window at 8 bytes an open start, and the flags and prefix around
-the last L primes and the pending crossovers.  So a row's first run,
-the widest window, costs 8 bytes a term: 8.2 MB for the 1,030,417
-terms at x = 10^27, k = 3.  count_up_to is the one-row case.
+primes and one segment, of 2^18 to 2^21 one-byte flags by the limit
+(2^18 up to about 3.8 * 10^7, 2^21 from about 6 * 10^8 on), one
+block's primes and powers, each sweeping row's window at 8 bytes an
+open start, and the flags and prefix around the last L primes and the
+pending crossovers.  So a row's first run, the widest window, costs 8
+bytes a term: 8.2 MB for the 1,030,417 terms at x = 10^27, k = 3.
+count_up_to is the one-row case.
 A prefix array f needs none of this: the sums f[b + m] - f[b] of m
 terms rise with the start b, so starts_by_length takes each c_m by one
 bisection of them.  count_sums adds the c_m up, and the length
@@ -202,13 +204,14 @@ def start_runs(primes: Iterable[int], k: int, x: int) -> Iterator[tuple]:
     p is the start's prime and f the prefix sums of the k-th powers of
     primes, an ascending iterable of primes below 2^64 read lazily as
     run_lengths reads it, so the sums from b are f[b+1] - f[b], ...,
-    f[b+run] - f[b].  Only the prefix sums from the current start on
-    are kept, trimmed every TRIM_STARTS starts.  The runs end at the
-    first start whose power exceeds x, or with the primes.
+    f[b+run] - f[b].  Only the primes, 8 bytes each, and the prefix
+    sums from the current start on are kept, trimmed together every
+    TRIM_STARTS starts.  The runs end at the first start whose power
+    exceeds x, or with the primes.
     """
-    starts = deque()
+    starts = array("Q")
     sums = [0]
-    head = 0  # sums[head] is f[b] of the current start b
+    head = 0  # starts[head] is the current start b's prime and sums[head] its f[b]
 
     def pairs():
         total = 0
@@ -220,9 +223,10 @@ def start_runs(primes: Iterable[int], k: int, x: int) -> Iterator[tuple]:
             yield p, power
 
     for run in takewhile(bool, _runs(pairs(), k, x)):
-        yield starts.popleft(), sums[head], sums[head + 1 : head + run + 1]
+        yield starts[head], sums[head], sums[head + 1 : head + run + 1]
         head += 1
         if head == TRIM_STARTS:
+            del starts[:head]
             del sums[:head]
             head = 0
 

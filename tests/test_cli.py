@@ -1,3 +1,4 @@
+import io
 import subprocess
 import sys
 
@@ -55,6 +56,23 @@ def test_enumerate_pairs(capsys):
     assert len(lines) == 10
     assert lines[0] == "8\t2"
     assert lines[-1] == "343\t7"
+
+
+def test_enumerate_writes_a_long_run_in_slices(monkeypatch):
+    # a start's lines go out at most TRIM_STARTS to a write, so a long
+    # run is never one string, and the bytes are those of the direct sums
+    writes = []
+
+    class Sink(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    monkeypatch.setattr(cli, "TRIM_STARTS", 3)
+    monkeypatch.setattr(sys, "stdout", Sink())
+    assert main(["enumerate", "--k", "2", "--x", "1e5"]) == 0
+    assert sys.stdout.getvalue() == "".join(f"{n}\t{p}\n" for n, p, _ in direct_sums(10 ** 5, 2))
+    assert max(text.count("\n") for text in writes) == 3
 
 
 def test_enumerate_csv_header(capsys):

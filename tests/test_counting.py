@@ -25,7 +25,14 @@ from primesums.counting import (
 )
 from primesums.enumeration import enumerate_sums, length_histogram
 from primesums.prefix import PowerPrefixSums, build, build_from_primes
-from primesums.sieve import BLOCK_ODDS, SEGMENT_BYTES, iter_primes, primes_up_to, sieve_blocks
+from primesums.sieve import (
+    BLOCK_ODDS,
+    SEGMENT_BYTES,
+    iter_primes,
+    primes_up_to,
+    segment_bytes,
+    sieve_blocks,
+)
 
 
 @pytest.mark.parametrize(
@@ -191,17 +198,27 @@ def prefix_counts(xs, k):
     return [count_sums(build(x, k)) for x in xs]
 
 
+def second_segment(limit):
+    """The odd number that starts the second segment of a sieve up to limit."""
+    return 2 * segment_bytes(limit) + 1
+
+
+# a sieve up to a few times this number has segments of the smallest size
+SEGMENT_EDGE = second_segment(4 * SEGMENT_BYTES)
+
+
 @pytest.mark.parametrize("offset", [-2, 0, 2])
 def test_count_up_to_roots_at_sieve_segment_edges(offset):
     # the streamed primes cross from the sieve's first segment into its second
-    root = 2 * SEGMENT_BYTES + 1 + offset
+    root = SEGMENT_EDGE + offset
+    assert second_segment(root) == SEGMENT_EDGE
     x = root * root
     assert count_up_to(x, 2) == count_sums(build(x, 2))
 
 
 # the odd number that starts the sieve's second segment, and the ones
 # that start extraction sub-blocks 1, 2 and 3
-EDGES = [2 * SEGMENT_BYTES + 1] + [2 * BLOCK_ODDS * j + 1 for j in (1, 2, 3)]
+EDGES = [SEGMENT_EDGE] + [2 * BLOCK_ODDS * j + 1 for j in (1, 2, 3)]
 
 
 @pytest.mark.parametrize("edge", EDGES)
@@ -209,6 +226,7 @@ def test_count_rows_with_roots_at_block_edges(edge):
     # one table whose rows end just before, on and just after the edge,
     # so the sieve stops on it and the rows are cut next to it
     xs = [(edge + offset) ** 2 for offset in (-2, 0, 2)]
+    assert second_segment(edge + 2) == SEGMENT_EDGE
     assert list(count_rows(xs, 2)) == prefix_counts(xs, 2)
     assert list(count_rows(xs[:1], 2)) == prefix_counts(xs[:1], 2)
 
@@ -311,7 +329,7 @@ def crossovers(x, k):
 
 
 # odd numbers that start extraction sub-blocks 5 and 40, and the sieve's second segment
-CROSSOVER_EDGES = [2 * BLOCK_ODDS * i + 1 for i in (5, 40)] + [2 * SEGMENT_BYTES + 1]
+CROSSOVER_EDGES = [2 * BLOCK_ODDS * i + 1 for i in (5, 40)] + [SEGMENT_EDGE]
 
 
 @pytest.mark.parametrize("edge", CROSSOVER_EDGES)
@@ -319,6 +337,7 @@ def test_crossovers_next_to_block_edges(edge):
     # the row x = j * g^2 has its crossover g_j = floor(sqrt(x / j)) on g,
     # so pi(g) is counted up to just before, on and just after the edge
     xs = sorted(j * (edge + offset) ** 2 for j in (1, 2, 3) for offset in (-2, 0, 2))
+    assert second_segment(integer_kth_root(xs[-1], 2)) == SEGMENT_EDGE
     for j in (1, 2, 3):
         for offset in (-2, 0, 2):
             assert crossovers(j * (edge + offset) ** 2, 2)[j - 1] == edge + offset

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from golden import is_prime_trial, trial_primes
+from primesums.arith import integer_kth_root
 from primesums.counting import count_sums
 from primesums.prefix import build, build_from_primes, check_power
-from primesums.sieve import SieveMemoryError
+from primesums.sieve import SieveMemoryError, primes_up_to
 
 
 def test_worked_cube_array():
@@ -64,6 +65,12 @@ def test_build_from_primes_range_errors():
     with pytest.raises(OverflowError):
         build_from_primes([3, 2 ** 63], 3, 2 ** 128 - 1)
     assert build_from_primes([], 2, 100).f == [0]
+    # an ascending list is checked by its ends alone
+    with pytest.raises(ValueError):
+        build_from_primes([2, 3, 2 ** 64], 2, 100, ascending=True)
+    with pytest.raises(OverflowError):
+        build_from_primes([3, 2 ** 63], 3, 2 ** 128 - 1, ascending=True)
+    assert build_from_primes([], 2, 100, ascending=True).f == [0]
 
 
 def test_prefix_past_128_bits_still_counts():
@@ -88,3 +95,12 @@ def test_build_from_primes_matches_build():
     ps = build(10 ** 4, 3)
     again = build_from_primes(trial_primes(21), 3, 10 ** 4)
     assert again.f == ps.f
+
+
+@pytest.mark.parametrize("x,k", [(10 ** 6, 2), (10 ** 12, 3), (10 ** 20, 5)])
+def test_build_equals_build_from_the_sieved_list(x, k):
+    # build checks the sieve's list by its ends, build_from_primes by a scan
+    ps = build(x, k)
+    again = build_from_primes(primes_up_to(integer_kth_root(x, k)), k, x)
+    assert ps.primes == again.primes
+    assert ps.f == again.f

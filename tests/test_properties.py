@@ -142,8 +142,9 @@ row_sets = st.one_of(
 def test_count_rows_match_the_full_sweep(case, block):
     # with blocks of 1, 3 or 8 odd numbers, the primes a crossover reads
     # span many blocks even at small x; they come with segments of 2^10
-    # odd numbers, which 3 does not divide, so with blocks of 3 a short
-    # block ends each segment, in the middle of the stream
+    # to 2^13 odd numbers, by the limit, which 3 does not divide, so with
+    # blocks of 3 a short block ends each segment, in the middle of the
+    # stream
     xs, k = case
     primes = primes_up_to(integer_kth_root(max(xs, default=0), k))
     expected = [sweep_count(primes, k, x) for x in xs]

@@ -7,6 +7,7 @@ import pytest
 import primesums
 from golden import trial_primes
 from primesums import sieve
+from primesums.arith import integer_kth_root
 from primesums.counting import count_up_to
 from primesums.sieve import (
     BLOCK_ODDS,
@@ -20,12 +21,20 @@ from primesums.sieve import (
     primes_below,
     primes_from,
     primes_up_to,
+    segment_bytes,
     sieve_blocks,
     sieve_bytes_needed,
 )
 
-# segment j of the sieve starts at the odd number 2 * SEGMENT_BYTES * j + 1
-EDGES = [2 * SEGMENT_BYTES * j + 1 for j in (1, 2, 3)]
+
+def segment_edges(limit):
+    """The odd numbers that start the second and later segments of a sieve up to limit."""
+    size = segment_bytes(limit)
+    return range(2 * size + 1, limit + 1, 2 * size)
+
+
+# the first three segment edges of a sieve a little past them
+EDGES = list(segment_edges(7 * SEGMENT_BYTES)[:3])
 # and extraction sub-block j at 2 * BLOCK_ODDS * j + 1
 BLOCK_EDGES = [2 * BLOCK_ODDS * j + 1 for j in (1, 2, 3)]
 
@@ -110,6 +119,7 @@ def check_against_trial_division(limit):
     assert limit <= ORACLE_LIMIT
     expected = oracle_primes()[: bisect_right(oracle_primes(), limit)]
     assert primes_up_to(limit) == expected
+    assert list(iter_primes(limit)) == expected
     assert prime_count(limit) == len(expected)
 
 
@@ -117,10 +127,12 @@ def check_against_trial_division(limit):
 @pytest.mark.parametrize("edge", EDGES + BLOCK_EDGES)
 def test_limits_at_segment_edges(edge, offset):
     # offset -2 fills whole segments or sub-blocks exactly; 0 and 2 start a new one
+    if edge in EDGES and offset >= 0:
+        assert edge in segment_edges(edge + offset)
     check_against_trial_division(edge + offset)
 
 
-@pytest.mark.parametrize("limit", [2, 3, BLOCK_EDGES[0], 2 * SEGMENT_BYTES + 2 * BLOCK_ODDS])
+@pytest.mark.parametrize("limit", [2, 3, BLOCK_EDGES[0], EDGES[0] - 1 + 2 * BLOCK_ODDS])
 def test_prime_blocks_follow_the_sub_blocks(limit):
     blocks = list(prime_blocks(limit))
     assert blocks[0] == [2]
@@ -180,3 +192,41 @@ def test_refusal_comes_before_the_first_prime():
         prime_blocks(2 ** 32 + 1)
     with pytest.raises(SieveMemoryError, match="budget is 2147483648"):
         count_up_to(10 ** 30, 2)
+
+
+def test_segment_sizes_follow_the_limit():
+    # the power of two nearest 64 * sqrt(limit), from 2^18 to 2^21 flags
+    assert SEGMENT_BYTES == 1 << 18
+    # the root of every paper table's last row keeps the smallest
+    for x, k in [(10 ** 15, 2), (10 ** 20, 3), (10 ** 32, 5), (10 ** 38, 10), (10 ** 38, 20)]:
+        assert segment_bytes(integer_kth_root(x, k)) == 1 << 18
+    assert segment_bytes(10 ** 8) == 1 << 19
+    assert segment_bytes(integer_kth_root(10 ** 17, 2)) == 1 << 20
+    assert segment_bytes(10 ** 9) == 1 << 21
+    # the clamps
+    assert segment_bytes(0) == segment_bytes(2) == segment_bytes(10 ** 7) == 1 << 18
+    assert segment_bytes(2 ** 32) == segment_bytes(10 ** 30) == 1 << 21
+
+
+def test_block_odds_divides_every_segment():
+    sizes = {segment_bytes(limit) for j in range(60) for limit in (4 ** j, 3 * 4 ** j)}
+    assert sizes == {SEGMENT_BYTES << i for i in range(4)}
+    assert all(size % BLOCK_ODDS == 0 for size in sizes)
+
+
+@pytest.mark.parametrize("offset", [-2, 0, 2])
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_limits_at_the_edges_of_larger_segments(monkeypatch, j, offset):
+    # with the smallest segment at 2^10 flags, a limit past ~10^4 takes
+    # the largest, 2^13, so its edges are those of the larger segments
+    monkeypatch.setattr(sieve, "SEGMENT_BYTES", 1 << 10)
+    edge = 2 * (1 << 13) * j + 1
+    limit = edge + offset
+    size = segment_bytes(limit)
+    assert size == 8 * sieve.SEGMENT_BYTES
+    firsts = [first for first, _ in sieve._odd_segments(limit)]
+    assert firsts == list(range(1, limit + 1, 2 * size))
+    expected = trial_primes(limit)
+    assert primes_up_to(limit) == expected
+    assert list(iter_primes(limit)) == expected
+    assert prime_count(limit) == len(expected)
