@@ -3,14 +3,13 @@
 The count (with multiplicity) is the sum, over every start b, of
 run_b, the length of the longest run p_b^k + ... + p_{b+m-1}^k that
 stays <= x.  Because the powers are positive, the end of that run never
-moves back as b grows, so a _Window sweeps once across an ascending
-stream of powers: it adds each new power, and while the window sum
-exceeds x the first start's run is complete.  _Window.runs is the
-package's only two-pointer loop.  The sweep holds only the current
-window, so it needs no prime list and no prefix array.  It holds the
-window as its primes, 8 bytes an open start, and the sum of their
-powers as one int: each prime is raised to the k-th power again, in C,
-as its start leaves.
+moves back as b grows.  A row of count_rows sweeps a window of primes
+once across the ascending powers: it adds each new power, and while the
+window sum exceeds x the first start's run is complete.  The sweep
+holds only the window, so it needs no prime list and no prefix array.
+It holds the window as its primes, 8 bytes an open start, and the sum
+of their powers as one int: each prime is raised to the k-th power
+again, in C, as its start leaves.
 
 Runs shrink as the start grows, and most starts have runs of a few
 terms, which follow from prime counts alone.  Let c_j be the number of
@@ -67,25 +66,20 @@ terms rise with the start b, so starts_by_length takes each c_m by one
 bisection of them.  count_sums adds the c_m up, and the length
 histogram and the duplicate search read them as they are.
 
-Enumeration streams too: start_runs drives run_lengths over a stream of
-primes and keeps the prefix sums only from the current start on, so
-each start's sums come out as soon as its run is known, in the memory
-of the longest run.  It is the one loop that turns runs into sums, for
-enumeration.enumerate_sums and the CLI's enumerate alike.
-
-Every stream of powers ends with one power past x: that of the first
-prime past the root, or x + 1, which comes with no prime, where the
-primes stop before it.  It
-completes each open start's run through the same loop, and its own run
-is 0, which ends the stream: every start before it has a run of at
-least one term.
+Enumeration streams too, but reads its own prefix sums, which it has
+to hand over anyway: start_runs keeps the sums f only from the current
+start on, and reads primes until the last sum passes f[b] + x or the
+primes run out, so each start's sums come out as soon as its run is
+known, in the memory of the longest run.  It is the one loop that turns
+runs into sums, for enumeration.enumerate_sums and the CLI's enumerate
+alike.
 """
 
 import math
 from array import array
 from bisect import bisect_right
 from collections import deque
-from itertools import accumulate, chain, islice, repeat, takewhile
+from itertools import accumulate, chain, islice, repeat
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -102,7 +96,7 @@ from .sieve import (
     sieve_blocks,
 )
 
-# starts between drops of what a window and start_runs keep of the
+# starts between drops of what a row's sweep and start_runs keep of the
 # starts behind them
 TRIM_STARTS = 1 << 12
 
@@ -115,120 +109,40 @@ class CountReport(NamedTuple):
     prime_count: int  # primes with p^k <= x
 
 
-class _Window:
-    """The primes of the starts whose runs are still open, and the sum of their powers.
-
-    The array primes holds those primes, 8 bytes a start, after those of
-    fewer than TRIM_STARTS starts that have left.  leaving raises each
-    prime to the k-th power again, in C, as its start leaves: it maps
-    pow over the array itself, so it also reads the primes pushed after
-    it was made.  It stops after TRIM_STARTS primes, which are then
-    deleted, and leaving is made again from the first prime left.
-    """
-
-    __slots__ = ("x", "k", "primes", "width", "leaving", "total")
-
-    def __init__(self, x: int, k: int):
-        self.x = x
-        self.k = k
-        self.primes = array("Q")
-        self.width = 0  # the starts whose runs are open
-        self.leaving = map(pow, self.primes, repeat(k, TRIM_STARTS))
-        self.total = 0
-
-    def runs(self, primes: Iterable[int], powers: Iterable[int]) -> Iterator[int]:
-        """Push ascending primes and their powers; yield the run of each start they complete.
-
-        primes are below 2^64 and go into the window at once.  powers
-        holds their k-th powers in order, read lazily, one power past a
-        start's run before that run is yielded; after them it may hold
-        one power past x that has no prime, as x + 1 ends a stream.  A
-        power past x completes every open run and has a run of 0 itself;
-        with a prime it then leaves as any start does, and with none it
-        ends the runs.  The state is stored when powers is used up, so
-        each call must be run out before the next.
-        """
-        x = self.x
-        width = self.width
-        leaving = self.leaving
-        total = self.total
-        window = self.primes
-        window.extend(primes)
-        for power in powers:
-            total += power
-            while total > x:
-                # the window before this power was the first start's run
-                yield width
-                try:
-                    total -= next(leaving)
-                except StopIteration:
-                    if len(window) <= TRIM_STARTS:
-                        return  # a power with no prime ended the stream
-                    del window[:TRIM_STARTS]
-                    leaving = map(pow, window, repeat(self.k, TRIM_STARTS))
-                    total -= next(leaving)
-                width -= 1
-            width += 1
-        self.width = width
-        self.leaving = leaving
-        self.total = total
-
-
-def _runs(pairs: Iterable[tuple], k: int, x: int) -> Iterator[int]:
-    """The runs of the starts of ascending (p, p^k) pairs, pushed one at a time.
-
-    x + 1 follows the pairs.  The first power past x, of a pair or
-    x + 1, completes every open run and has a run of 0 itself, where the
-    callers stop: no start from it on has a run.
-    """
-    window = _Window(x, k)
-    for p, power in pairs:
-        yield from window.runs((p,), (power,))
-    yield from window.runs((), (x + 1,))
-
-
-def run_lengths(primes: Iterable[int], k: int, x: int) -> Iterator[int]:
-    """For each start in order, the most consecutive powers from it summing to <= x.
-
-    primes is any ascending iterable of primes below 2^64; it is read
-    lazily, one prime past the first start's run before that run is
-    yielded.  The runs end at the first start whose power exceeds x, or
-    with the primes.
-    """
-    return takewhile(bool, _runs(((p, p ** k) for p in primes), k, x))
-
-
 def start_runs(primes: Iterable[int], k: int, x: int) -> Iterator[tuple]:
     """For each start b with a run, in order: (p, f[b], [f[b+1], ..., f[b+run]]).
 
     p is the start's prime and f the prefix sums of the k-th powers of
-    primes, an ascending iterable of primes below 2^64 read lazily as
-    run_lengths reads it, so the sums from b are f[b+1] - f[b], ...,
-    f[b+run] - f[b].  Only the primes, 8 bytes each, and the prefix
-    sums from the current start on are kept, trimmed together every
-    TRIM_STARTS starts.  The runs end at the first start whose power
-    exceeds x, or with the primes.
+    primes, an ascending iterable of primes below 2^64, so the sums from
+    b are f[b+1] - f[b], ..., f[b+run] - f[b].  primes is read lazily,
+    one prime past a start's run before that run is yielded.  Only the
+    primes, 8 bytes each, and the prefix sums from the current start on
+    are kept, trimmed together every TRIM_STARTS starts.  The runs end
+    at the first start whose power exceeds x, or with the primes.
     """
     starts = array("Q")
     sums = [0]
+    total = 0
     head = 0  # starts[head] is the current start b's prime and sums[head] its f[b]
-
-    def pairs():
-        total = 0
-        for p in primes:
-            power = p ** k
-            total += power
-            starts.append(p)
-            sums.append(total)
-            yield p, power
-
-    for run in takewhile(bool, _runs(pairs(), k, x)):
-        yield starts[head], sums[head], sums[head + 1 : head + run + 1]
-        head += 1
-        if head == TRIM_STARTS:
-            del starts[:head]
-            del sums[:head]
-            head = 0
+    end = x  # f[b] + x, the last sum the current start's run can reach
+    for p in primes:
+        total += p ** k
+        starts.append(p)
+        sums.append(total)
+        while total > end:
+            # the sums before this one are the current start's run
+            if head == len(starts) - 1:
+                return  # p^k > x: no start from p on has a run
+            yield starts[head], sums[head], sums[head + 1 : -1]
+            head += 1
+            if head == TRIM_STARTS:
+                del starts[:head]
+                del sums[:head]
+                head = 0
+            end = sums[head] + x
+    # the primes ran out: every open start's run reaches the last of them
+    for b in range(head, len(starts)):
+        yield starts[b], sums[b], sums[b + 1 :]
 
 
 def starts_by_length(ps: PowerPrefixSums) -> list:
@@ -267,9 +181,21 @@ class _Row:
     L is the first j at which g_j - g_{j+1} < 32 ln g_j.  count adds up
     max(run - L, 0) over the swept starts and c_j at each crossover.
     count_rows drives the rows from the sieve's blocks.
+
+    The sweep holds the primes of the starts whose runs are still open
+    in the array window, 8 bytes a start, after those of fewer than
+    TRIM_STARTS starts that have left; width counts the open starts and
+    total is the sum of their powers.  leaving raises each prime to the
+    k-th power again, in C, as its start leaves: it maps pow over the
+    array itself, so it also reads the primes pushed after it was made.
+    It stops after TRIM_STARTS primes, which are then deleted, and
+    leaving is made again from the first prime left.
     """
 
-    __slots__ = ("x", "k", "crossovers", "window", "count", "first", "primes", "open")
+    __slots__ = (
+        "x", "k", "crossovers", "count", "first", "primes", "open",
+        "window", "width", "leaving", "total",
+    )
 
     def __init__(self, x: int, k: int):
         g = [integer_kth_root(x, k)]
@@ -282,9 +208,12 @@ class _Row:
         self.x = x
         self.k = k
         self.crossovers = g
-        self.window = _Window(x, k)  # None once the sweep is over
         self.count = self.first = self.primes = 0
         self.open = len(g)  # crossovers not yet counted
+        self.window = array("Q")  # None once the sweep is over
+        self.width = 0
+        self.leaving = map(pow, self.window, repeat(k, TRIM_STARTS))
+        self.total = 0
 
     @property
     def root(self) -> int:
@@ -293,30 +222,42 @@ class _Row:
     def push(self, primes: Iterable[int], powers: Iterable[int]) -> None:
         """Sweep ascending primes until a run of L terms or fewer completes.
 
-        powers holds their k-th powers, and may end with one past x that
-        has no prime.  The first power past x completes every open run
-        and has a run of 0 itself, so it ends the sweep; the powers after
-        it are not read.
+        primes are below 2^64 and go into the window at once.  powers
+        holds their k-th powers in order, and may end with one past x
+        that has no prime, as x + 1 ends a row.  While a power takes the
+        window past x, the first open start's run is complete: it is the
+        window before that power.  The first run to complete is the
+        first start's, the longest.  A power past x completes every run
+        longer than L >= 1, so the sweep ends before the window empties;
+        the powers after it are not read.
         """
-        if self.window is None:
+        window = self.window
+        if window is None:
             return
-        long = len(self.crossovers)
-        runs = self.window.runs(primes, powers)
-        if not self.first:
-            # the first run to complete is the first start's, the longest;
-            # one of 0 (x < 2^k) ends the sweep below as any other would
-            first = next(runs, None)
-            if first is None:
-                return
-            self.first = first
-            runs = chain((first,), runs)
-        total = 0
-        for run in runs:
-            if run <= long:
-                self.window = None  # no later run is longer
-                break
-            total += run - long
-        self.count += total
+        x, long = self.x, len(self.crossovers)
+        count, first = self.count, self.first
+        width, leaving, total = self.width, self.leaving, self.total
+        window.extend(primes)
+        for power in powers:
+            total += power
+            while total > x:
+                first = first or width
+                if width <= long:
+                    # no later run is longer; leaving holds the window too
+                    self.count, self.first = count, first
+                    self.window = self.leaving = None
+                    return
+                count += width - long
+                try:
+                    total -= next(leaving)
+                except StopIteration:
+                    del window[:TRIM_STARTS]
+                    leaving = map(pow, window, repeat(self.k, TRIM_STARTS))
+                    total -= next(leaving)
+                width -= 1
+            width += 1
+        self.count, self.first = count, first
+        self.width, self.leaving, self.total = width, leaving, total
 
     def cross(self, j: int, below: int, f: list, base: int) -> None:
         """Count c_j, the starts whose first j terms sum to at most x.

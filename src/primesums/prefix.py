@@ -63,21 +63,23 @@ class PowerPrefixSums(NamedTuple):
     f: list
 
 
-def build_from_primes(primes: list, k: int, x: int, *, ascending: bool = False) -> PowerPrefixSums:
+def _prefix_sums(primes: list, k: int, x: int) -> PowerPrefixSums:
+    f = list(accumulate(map(pow, primes, repeat(k)), initial=0))
+    return PowerPrefixSums(x=x, k=k, primes=primes, f=f)
+
+
+def build_from_primes(primes: list, k: int, x: int) -> PowerPrefixSums:
     """Prefix sums over an explicit ascending list of primes.
 
     The list is kept as it is, not copied.  The smallest p and the
     largest p^k range-check the whole list; f itself may pass 2^128,
-    because callers only ever use differences of f bounded by x.  With
-    ascending, the caller vouches for the order, so the first and last
-    p are taken as the smallest and largest without a scan.
+    because callers only ever use differences of f bounded by x.
     """
     check_power(k)
     if primes:
-        check_uint64(primes[0] if ascending else min(primes), "base")
-        checked_pow(primes[-1] if ascending else max(primes), k)
-    f = list(accumulate(map(pow, primes, repeat(k)), initial=0))
-    return PowerPrefixSums(x=x, k=k, primes=primes, f=f)
+        check_uint64(min(primes), "base")
+        checked_pow(max(primes), k)
+    return _prefix_sums(primes, k, x)
 
 
 def sieve_limit(x: int, k: int) -> int:
@@ -96,5 +98,6 @@ def sieve_limit(x: int, k: int) -> int:
 
 def build(x: int, k: int) -> PowerPrefixSums:
     """Prefix sums covering every prime whose k-th power is <= x."""
-    # the sieve's list ascends, so its ends range-check it
-    return build_from_primes(primes_up_to(sieve_limit(x, k)), k, x, ascending=True)
+    # sieve_limit checks k and x < 2^128, so every sieved prime lies
+    # below 2^64 and its power is at most x
+    return _prefix_sums(primes_up_to(sieve_limit(x, k)), k, x)

@@ -25,9 +25,8 @@ C, which is all counting.count_rows needs of most blocks.
 block_primes extracts a block's primes: it selects from the fixed list
 of even offsets 0, 2, 4, ... with itertools.compress and adds the
 block's first odd number to each offset kept, in C, so an int is made
-for each prime, not for each odd number.  prime_blocks extracts every
-block, for iter_primes, and primes_up_to extends one list block by
-block.
+for each prime, not for each odd number.  iter_primes extracts every
+block as it is read, and primes_up_to extends one list block by block.
 
 A block is also read by number, so that its reader never indexes the
 flags: primes_from(first, flags, n) gives its primes from n on,
@@ -118,6 +117,7 @@ def _sieve_segments(size: int, base: list, segment: int) -> Iterator[tuple]:
                 start += (lo - start + p - 1) // p * p
             flags[start - lo :: p] = bytes((hi - start + p - 1) // p)
         yield 2 * lo + 1, flags
+        del flags  # drop it before the next segment is made
 
 
 def _sub_blocks(segments: Iterator[tuple]) -> Iterator[tuple]:
@@ -126,6 +126,7 @@ def _sub_blocks(segments: Iterator[tuple]) -> Iterator[tuple]:
         for i in range(0, len(flags), BLOCK_ODDS):
             # the last sub-block may be short
             yield first + 2 * i, flags[i : i + BLOCK_ODDS]
+        del flags  # drop it before the next segment is drawn
 
 
 def count_flags(flags) -> int:
@@ -189,24 +190,13 @@ def sieve_blocks(limit: int) -> Iterator[tuple]:
     return itertools.chain(((2, b"\x01"),), _sub_blocks(_odd_segments(limit)))
 
 
-def prime_blocks(limit: int) -> Iterator[list]:
-    """Every prime p <= limit, ascending, as a stream of lists.
-
-    Each list holds the primes of one block of sieve_blocks (2 comes
-    first, on its own); a list may be empty.  Raises SieveMemoryError
-    when called, before any prime is produced, if limit lies past the
-    fixed sieve budget.
-    """
-    return itertools.starmap(block_primes, sieve_blocks(limit))
-
-
 def iter_primes(limit: int) -> Iterator[int]:
     """Every prime p <= limit, ascending, as a stream.
 
     Raises SieveMemoryError when called, before any prime is produced,
     if limit lies past the fixed sieve budget.
     """
-    return itertools.chain.from_iterable(prime_blocks(limit))
+    return itertools.chain.from_iterable(itertools.starmap(block_primes, sieve_blocks(limit)))
 
 
 def _primes_of(blocks: Iterator[tuple]) -> list:

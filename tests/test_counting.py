@@ -20,7 +20,6 @@ from primesums.counting import (
     count_rows,
     count_sums,
     count_up_to,
-    run_lengths,
     start_runs,
 )
 from primesums.enumeration import enumerate_sums, length_histogram
@@ -123,9 +122,10 @@ def test_primes_past_the_root_are_not_counted():
     ],
 )
 def test_run_lengths_examples(powers, x, expected):
+    # start_runs hands over each start's run, the sums it reaches
     primes = [integer_kth_root(q, 2) for q in powers]
-    assert list(run_lengths(primes, 2, x)) == expected
-    assert list(run_lengths(iter(primes), 2, x)) == expected
+    assert [len(ends) for _, _, ends in start_runs(primes, 2, x)] == expected
+    assert [len(ends) for _, _, ends in start_runs(iter(primes), 2, x)] == expected
 
 
 def test_run_lengths_reads_one_power_past_the_first_run():
@@ -137,22 +137,31 @@ def test_run_lengths_reads_one_power_past_the_first_run():
             read.append(p)
             yield p
 
-    runs = run_lengths(primes(), 2, 40)
-    assert next(runs) == 3  # 4 + 9 + 25
+    runs = start_runs(primes(), 2, 40)
+    assert next(runs) == (2, 0, [4, 13, 38])  # 4 + 9 + 25
     assert read == [2, 3, 5, 7]
 
 
 @pytest.mark.parametrize("trim", [1, 2, 3, 4, 4096])
 def test_window_powers_past_x(monkeypatch, trim):
-    # a power past x completes every open run and has a run of 0; with a
-    # prime it then leaves as any start does, and with none it ends the runs
+    # a power past x completes every run longer than L = 1, so it ends the
+    # row's sweep with one start open; the runs 4, 3 and 2 of the first
+    # three starts add 3 + 2 + 1 terms past their first
     monkeypatch.setattr(counting, "TRIM_STARTS", trim)
-    window = counting._Window(100, 2)
-    assert list(window.runs([2, 3, 5], [4, 9, 25])) == []
-    assert list(window.runs([7, 11, 13], [49, 121, 169])) == [4, 3, 2, 1, 0, 0]
-    assert list(window.runs([17], [289])) == [0]
-    window = counting._Window(100, 2)
-    assert list(window.runs([2, 3, 5, 7], [4, 9, 25, 49, 101])) == [4, 3, 2, 1, 0]
+    row = counting._Row(100, 2)
+    assert row.crossovers == [10]  # L = 1
+    row.push([2, 3, 5], [4, 9, 25])
+    assert (row.count, row.first, row.window is None) == (0, 0, False)
+    row.push([7, 11, 13], [49, 121, 169])
+    # a finished row holds no primes, not even through leaving
+    assert (row.count, row.first, row.window, row.leaving) == (6, 4, None, None)
+    row.push([17], [289])  # the sweep is over
+    assert (row.count, row.first) == (6, 4)
+    # x + 1, with no prime, ends a row whose primes stop before it
+    row = counting._Row(100, 2)
+    row.push([2, 3, 5, 7], [4, 9, 25, 49])
+    row.push((), (101,))
+    assert (row.count, row.first, row.window) == (6, 4, None)
 
 
 def test_window_at_the_top_of_uint64():
@@ -168,7 +177,7 @@ def test_window_at_the_top_of_uint64():
         for m, ft in enumerate(ends, 1)
     ]
     assert rows == expected == [(primes[0] ** 2, 0, 1), (primes[1] ** 2, 1, 1)]
-    assert list(run_lengths(primes, 2, x)) == [1, 1]
+    assert [len(ends) for _, _, ends in start_runs(primes, 2, x)] == [1, 1]
     assert count_sums(ps) == sweep_count(primes, 2, x)
 
 

@@ -65,12 +65,6 @@ def test_build_from_primes_range_errors():
     with pytest.raises(OverflowError):
         build_from_primes([3, 2 ** 63], 3, 2 ** 128 - 1)
     assert build_from_primes([], 2, 100).f == [0]
-    # an ascending list is checked by its ends alone
-    with pytest.raises(ValueError):
-        build_from_primes([2, 3, 2 ** 64], 2, 100, ascending=True)
-    with pytest.raises(OverflowError):
-        build_from_primes([3, 2 ** 63], 3, 2 ** 128 - 1, ascending=True)
-    assert build_from_primes([], 2, 100, ascending=True).f == [0]
 
 
 def test_prefix_past_128_bits_still_counts():
@@ -99,7 +93,7 @@ def test_build_from_primes_matches_build():
 
 @pytest.mark.parametrize("x,k", [(10 ** 6, 2), (10 ** 12, 3), (10 ** 20, 5)])
 def test_build_equals_build_from_the_sieved_list(x, k):
-    # build checks the sieve's list by its ends, build_from_primes by a scan
+    # build leaves the range check to sieve_limit, build_from_primes scans the list
     ps = build(x, k)
     again = build_from_primes(primes_up_to(integer_kth_root(x, k)), k, x)
     assert ps.primes == again.primes

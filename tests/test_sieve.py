@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from bisect import bisect_right
 from functools import lru_cache
 
@@ -14,9 +15,9 @@ from primesums.sieve import (
     SEGMENT_BYTES,
     SieveMemoryError,
     block_end,
+    block_primes,
     count_primes,
     iter_primes,
-    prime_blocks,
     prime_count,
     primes_below,
     primes_from,
@@ -134,7 +135,7 @@ def test_limits_at_segment_edges(edge, offset):
 
 @pytest.mark.parametrize("limit", [2, 3, BLOCK_EDGES[0], EDGES[0] - 1 + 2 * BLOCK_ODDS])
 def test_prime_blocks_follow_the_sub_blocks(limit):
-    blocks = list(prime_blocks(limit))
+    blocks = [block_primes(first, flags) for first, flags in sieve_blocks(limit)]
     assert blocks[0] == [2]
     # list i holds the odd primes from 2 * BLOCK_ODDS * (i - 1) + 1 on
     for i, block in enumerate(blocks[1:], 1):
@@ -142,6 +143,7 @@ def test_prime_blocks_follow_the_sub_blocks(limit):
         assert all(first <= p < first + 2 * BLOCK_ODDS for p in block)
     assert len(blocks) == 1 + math.ceil(sieve_bytes_needed(limit) / BLOCK_ODDS)
     assert [p for block in blocks for p in block] == primes_up_to(limit)
+    assert list(iter_primes(limit)) == primes_up_to(limit)
 
 
 @pytest.mark.parametrize("odds", [1, 3, 8])
@@ -184,12 +186,30 @@ def test_prime_squares_next_to_segment_edges(edge):
             check_against_trial_division(limit)
 
 
+def traced_peak(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_segment_is_alive_at_a_time():
+    # each segment is dropped before the next is made, so eight segments
+    # peak where one does, not one segment higher
+    one = traced_peak(lambda: prime_count(2 * SEGMENT_BYTES))
+    eight = traced_peak(lambda: prime_count(16 * SEGMENT_BYTES))
+    assert segment_bytes(16 * SEGMENT_BYTES) == SEGMENT_BYTES
+    assert eight < one + SEGMENT_BYTES // 2
+
+
 def test_refusal_comes_before_the_first_prime():
     # the call itself raises: not even the prime 2 is handed out
     with pytest.raises(SieveMemoryError, match="budget is 2147483648"):
         iter_primes(2 ** 32 + 1)
     with pytest.raises(SieveMemoryError, match="budget is 2147483648"):
-        prime_blocks(2 ** 32 + 1)
+        sieve_blocks(2 ** 32 + 1)
     with pytest.raises(SieveMemoryError, match="budget is 2147483648"):
         count_up_to(10 ** 30, 2)
 
