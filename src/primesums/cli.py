@@ -17,11 +17,12 @@ import sys
 from .bounds import bound_estimate, floor_lower_bound, floor_upper_bound
 from .counting import TRIM_STARTS, count_rows, count_up_to, start_runs
 from .duplicates import (
+    _search_prefix,
     count_with_distinct,
     find_cross_power_duplicates_from_prefixes,
     find_duplicates_from_prefix,
 )
-from .prefix import build, sieve_limit
+from .prefix import sieve_limit
 from .sieve import iter_primes
 
 
@@ -155,7 +156,7 @@ def _run_enumerate(args: argparse.Namespace, sink) -> None:
 def _run_count(args: argparse.Namespace, sink) -> None:
     if args.distinct:
         # the duplicate scan needs the prefix array, so count on it too
-        report, distinct = count_with_distinct(build(args.x, args.k))
+        report, distinct = count_with_distinct(_search_prefix(args.x, args.k))
         names = [*report._fields, "distinct"]
         values = [*report, distinct]
     else:
@@ -214,7 +215,7 @@ def _write_groups(groups, ps_by_k, sink) -> None:
 
 
 def _run_duplicates(args: argparse.Namespace, sink) -> None:
-    ps = build(args.x, args.k)
+    ps = _search_prefix(args.x, args.k)
     groups = find_duplicates_from_prefix(ps)
     _write_groups(groups, {args.k: ps}, sink)
 
@@ -223,7 +224,7 @@ def _run_cross(args: argparse.Namespace, sink) -> None:
     ks = sorted(set(args.ks))
     if len(ks) < 2:
         raise UsageError(f"--ks needs at least two distinct exponents, got {args.ks}")
-    ps_by_k = {k: build(args.x, k) for k in ks}
+    ps_by_k = {k: _search_prefix(args.x, k) for k in ks}
     groups = find_cross_power_duplicates_from_prefixes(ps_by_k)
     _write_groups(groups, ps_by_k, sink)
 

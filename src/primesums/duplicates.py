@@ -8,7 +8,22 @@ at 2^64 as g does, so it is made in numpy from the primes alone.  The
 starts whose run has m or more terms are 0 .. reach-1, with reach
 c_m of counting.starts_by_length, and form the block (k, m); one numpy
 subtraction gives all its keys, and sorting the keys and comparing
-neighbours finds every key that repeats.
+neighbours finds every key that repeats.  A second neighbour mask over
+those keeps each once: the keys are sorted already, and np.unique
+would sort them again and load numpy.ma.
+
+Below x = 2^63 the searches by x (find_duplicates,
+find_cross_power_duplicates, distinct_count and the CLI's duplicates,
+cross and count --distinct) take their keys straight from the sieve's
+blocks: _search_prefix makes the primes as one uint64 array('Q'), from
+numpy's indices of each block's flags, and g as their wrapping running
+sum in a second one, which it holds as f.  A bisection reads a window
+of at most 2x < 2^64, which g gives exactly, so the primes and sums
+are never held as Python ints.  Hand-built lists and x from 2^63 on
+keep build's lists, whose f is exact, and g is made from them.  An
+array('Q') reads as Python ints, as a list does, so both run the same
+code: f is read only through prefix.window_sum, which adds back the
+2^64 a window of g wraps by, and numpy views the arrays in place.
 
 The search runs one class of run lengths per pass.  Let M_k be the
 largest M whose Carmichael function divides k (24 for k = 2, 240 for
@@ -24,9 +39,10 @@ the class's keys, matched on their exact sums.  A pass sorts about
 keys/G keys, and runs with equal sums share a class.
 
 A class with more keys than the in-memory cap is cut into value
-slices, P = ceil(keys / cap) in all: slice i holds the sums from v_i,
-where the runs up to v_i are i/P of those up to x by the shape of
-their count, v^(2/(k+1)) / (ln v)^(2k/(k+1)).  For fixed m the sums
+slices, P = ceil(keys / cap) in all: slice i holds the sums from v_i
+up to v_{i+1}, where the runs up to v_i are i/P of those up to the
+class's largest sum by the shape of their count,
+v^(2/(k+1)) / (ln v)^(2k/(k+1)).  For fixed m the sums
 rise with b, so a block's part of a slice is one range of starts,
 found by bisection on the exact sums, and only the bounds inside the
 block's own sums cut it.
@@ -42,16 +58,19 @@ exponents.  numpy is imported by the search itself, so commands that
 never search for duplicates do not pay for loading it.
 """
 
+from array import array
 from bisect import bisect_left, bisect_right
 from math import exp, gcd, log
 from typing import NamedTuple
 
 from .counting import report_of, starts_by_length
-from .prefix import PowerPrefixSums, Representation, build, window_sum
+from .prefix import _WRAP, PowerPrefixSums, Representation, build, sieve_limit, window_sum
+from .sieve import sieve_blocks
 
 DEFAULT_MAX_IN_MEMORY = 50_000_000
 
-_WRAP = 1 << 64
+# below this x every window a bisection reads, at most 2x, is below 2^64
+_EXACT_BELOW = 1 << 63
 
 
 class DuplicateGroup(NamedTuple):
@@ -114,9 +133,10 @@ def _value_slices(ps_by_k: dict, parts: list, windows: list, max_in_memory: int)
     count = -(-keys // max_in_memory)
     if count <= 1:
         return [(parts, windows)]
-    # every sum searched is at most x and at most its list's f[-1], which
-    # stays below e^709 where a hand-built x may not
-    top = min(max(ps.x for ps in ps_by_k.values()), max(ps.f[-1] for ps in ps_by_k.values()))
+    # the largest sum of the class: a wrapped g[-1] means nothing, and a
+    # hand-built x may pass e^709 where the sums of its list do not
+    top = max([window_sum(ps_by_k[k].f, m)(hi - 1) for k, m, _, hi in parts]
+              + [n for n, *_ in windows])
     bounds = _slice_bounds(top, min(ps_by_k), count)
     slices = [([], []) for _ in range(count)]
     for k, m, lo, hi in parts:
@@ -131,18 +151,50 @@ def _value_slices(ps_by_k: dict, parts: list, windows: list, max_in_memory: int)
     return slices
 
 
-def _keys(np, ps: PowerPrefixSums, modulus: int) -> tuple:
-    """g = f mod 2^64 of ps, and its index e, from one uint64 array of its primes.
+def _power_sums(np, primes, k: int, g) -> None:
+    """Fill g, a zeroed uint64 array one longer than the uint64 primes, with f mod 2^64.
 
-    g is 0 and then the running sum of the k-th powers of the primes,
-    both wrapping at 2^64, made in place in g.
+    g[0] stays 0, and then g runs over the sum of the primes' k-th
+    powers, both wrapping at 2^64.
     """
-    primes = np.fromiter(ps.primes, dtype=np.uint64, count=len(ps.primes))
+    np.power(primes, k, out=g[1:])
+    np.cumsum(g[1:], out=g[1:])
+
+
+def _search_prefix(x: int, k: int) -> PowerPrefixSums:
+    """The prefix sums that the search up to x reads.
+
+    Below 2^63 they come straight from the sieve's blocks, as two
+    array('Q'): the primes, and as f the sums g = f mod 2^64, which are
+    exact on every window of at most 2x.  From 2^63 on they are build's
+    lists.
+    """
+    if x >= _EXACT_BELOW:
+        return build(x, k)
+    import numpy as np
+
+    primes = array("Q")
+    for first, flags in sieve_blocks(sieve_limit(x, k)):
+        primes.frombytes((np.flatnonzero(np.frombuffer(flags, np.uint8)) * 2 + first).tobytes())
+    g = array("Q", [0]) * (len(primes) + 1)
+    _power_sums(np, np.asarray(primes), k, np.asarray(g))
+    return PowerPrefixSums(x, k, primes, g)
+
+
+def _keys(np, ps: PowerPrefixSums, modulus: int) -> tuple:
+    """g = f mod 2^64 of ps, as a uint64 array, and its index e.
+
+    The search's own prefix sums hold g as f, which the array shares; a
+    list's g is made from one uint64 array of its primes.
+    """
+    primes = np.asarray(ps.primes, dtype=np.uint64)
     # as lambda(G) divides k, p^k = 1 (mod G) exactly when p is prime to G
     others = np.flatnonzero(np.gcd(primes, modulus) > 1)
-    keys = np.zeros(len(primes) + 1, dtype=np.uint64)
-    np.power(primes, ps.k, out=keys[1:])
-    np.cumsum(keys[1:], out=keys[1:])
+    if isinstance(ps.f, array):
+        keys = np.asarray(ps.f)
+    else:
+        keys = np.zeros(len(primes) + 1, dtype=np.uint64)
+        _power_sums(np, primes, ps.k, keys)
     return keys, int(others[-1]) + 1 if len(others) else 0
 
 
@@ -160,8 +212,9 @@ def _passes(np, ps_by_k: dict, counts_by_k: dict, max_in_memory: int, keys_of: d
         for m, reach in enumerate(counts_by_k[k], 1):
             if e < reach:
                 classes.setdefault(m % modulus, ([], []))[0].append((k, m, e, reach))
+            window = window_sum(ps.f, m)
             for b in range(min(e, reach)):
-                n = ps.f[b + m] - ps.f[b]
+                n = window(b)
                 classes.setdefault(n % modulus, ([], []))[1].append((n, k, b, m))
     for r in sorted(classes):
         for parts, windows in _value_slices(ps_by_k, *classes[r], max_in_memory):
@@ -179,7 +232,12 @@ def _repeated_keys(np, keys_of: dict, parts: list, windows: list):
         pos += hi - lo
     out[size:] = [n % _WRAP for n, *_ in windows]
     out.sort()
-    return np.unique(out[1:][out[1:] == out[:-1]])
+    repeats = out[1:][out[1:] == out[:-1]]  # a key once for each window past its first
+    # np.unique would sort again, and load numpy.ma
+    first = np.empty(len(repeats), dtype=bool)
+    first[:1] = True
+    np.not_equal(repeats[1:], repeats[:-1], out=first[1:])
+    return repeats[first]
 
 
 def _hits(np, window, g, m: int, lo: int, hi: int, repeated):
@@ -251,8 +309,7 @@ def find_duplicates(
     x: int, k: int, max_in_memory: int = DEFAULT_MAX_IN_MEMORY
 ) -> list:
     """All n <= x with at least two runs for this k, ascending by n."""
-    ps = build(x, k)
-    return find_duplicates_from_prefix(ps, max_in_memory)
+    return find_duplicates_from_prefix(_search_prefix(x, k), max_in_memory)
 
 
 def find_duplicates_from_prefix(
@@ -281,7 +338,7 @@ def find_cross_power_duplicates(
     ks = sorted(set(k_set))
     if len(ks) < 2:
         raise ValueError(f"cross-power search needs >= 2 distinct exponents, got {ks}")
-    ps_by_k = {k: build(x, k) for k in ks}
+    ps_by_k = {k: _search_prefix(x, k) for k in ks}
     return find_cross_power_duplicates_from_prefixes(ps_by_k, max_in_memory)
 
 
@@ -318,4 +375,4 @@ def distinct_count(
     x: int, k: int, max_in_memory: int = DEFAULT_MAX_IN_MEMORY
 ) -> int:
     """Number of distinct representable n <= x (count minus surplus)."""
-    return count_with_distinct(build(x, k), max_in_memory)[1]
+    return count_with_distinct(_search_prefix(x, k), max_in_memory)[1]

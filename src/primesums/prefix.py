@@ -3,9 +3,11 @@
 With primes p_1 < p_2 < ... the array f satisfies f[0] = 0 and
 f[i] = p_1^k + ... + p_i^k, so every sum of consecutive prime powers
 p_{b+1}^k + ... + p_t^k is the difference f[t] - f[b], which
-window_sum reads and a Representation records.  The duplicate
-searches work on the whole array, so duplicates, cross and
-count --distinct build it; counting needs only the stream of powers
+window_sum reads and a Representation records.  build holds the
+primes and f as lists of Python ints, which hand-built lists share
+through build_from_primes.  The duplicate searches read the whole
+array, but below x = 2^63 they make it as two uint64 array('Q')
+(duplicates._search_prefix); counting needs only the stream of powers
 (counting.count_up_to), and enumeration keeps f only for the current
 run (counting.start_runs).  sieve_limit maps (x, k) to the sieve limit
 for all of them.
@@ -20,6 +22,8 @@ from .sieve import check_budget, primes_up_to
 K_MIN = 2
 K_MAX = 64
 
+_WRAP = 1 << 64
+
 
 def check_power(k: int) -> int:
     if not K_MIN <= k <= K_MAX:
@@ -27,12 +31,20 @@ def check_power(k: int) -> int:
     return k
 
 
-def window_sum(f: list, m: int):
+def window_sum(f, m: int):
     """The sum of the m terms from start b, f[b + m] - f[b], as a function of b.
 
-    It rises with b, as the powers do, so it can key a bisection.
+    It rises with b, as the powers do, so it can key a bisection.  f is
+    a list of ints, or the duplicate search's array('Q') g = f mod 2^64,
+    whose difference wraps below 0 when the sums between pass 2^64:
+    adding 2^64 back reads every window below 2^64 of g exactly.
     """
-    return lambda b: f[b + m] - f[b]
+
+    def window(b):
+        n = f[b + m] - f[b]
+        return n if n >= 0 else n + _WRAP
+
+    return window
 
 
 class Representation(NamedTuple):
@@ -54,7 +66,9 @@ class PowerPrefixSums(NamedTuple):
     """Primes whose k-th power fits under x, with running power sums.
 
     f has len(primes) + 1 entries: f[0] = 0 and f[i] - f[i-1] is the
-    k-th power of the i-th prime, so f is strictly increasing.
+    k-th power of the i-th prime, so f is strictly increasing.  Those
+    that duplicates._search_prefix makes hold both in array('Q'), with
+    f mod 2^64 in place of f.
     """
 
     x: int

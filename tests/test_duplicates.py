@@ -1,24 +1,33 @@
 import math
 import os
+import subprocess
+import sys
 import tempfile
+from array import array
 from math import gcd
 
 import numpy as np
 import pytest
 
+from primesums import duplicates
 from primesums.counting import count_sums, starts_by_length
 from primesums.duplicates import (
     _passes,
     _power_modulus,
+    _search_prefix,
     _slice_bounds,
+    _value_slices,
+    DEFAULT_MAX_IN_MEMORY,
     distinct_count,
     duplicate_surplus,
     find_cross_power_duplicates,
+    find_cross_power_duplicates_from_prefixes,
     find_duplicates,
     find_duplicates_from_prefix,
 )
 from primesums.enumeration import enumerate_sums
-from primesums.prefix import build, build_from_primes
+from primesums.prefix import build, build_from_primes, window_sum
+from primesums.sieve import BLOCK_ODDS, SEGMENT_BYTES
 
 
 def test_smallest_square_duplicate():
@@ -201,3 +210,107 @@ def test_surplus_consistency():
 def test_groups_sorted_by_n():
     values = [g.n for g in find_duplicates(10 ** 9, 2)]
     assert values == sorted(values)
+
+
+@pytest.mark.parametrize("make", [build, _search_prefix], ids=["list", "uint64"])
+def test_a_sum_on_a_slice_bound_opens_the_upper_slice(monkeypatch, make):
+    # slice i holds the sums from v_i up to v_{i+1}: here the bounds are
+    # sums of the class, at starts inside its ranges and before e
+    ps = make(10 ** 7, 2)
+    counts = starts_by_length(ps)
+    (_, parts, windows), = [p for p in _passes(np, {2: ps}, {2: counts}, 10 ** 9, {}) if p[0] == 1]
+    sums = [window_sum(ps.f, m)(b) for _, m, lo, hi in parts for b in range(lo, hi)]
+    sums += [n for n, *_ in windows]
+    inside = [window_sum(ps.f, m)(lo + (hi - lo) * j // 4)
+              for _, m, lo, hi in parts if hi - lo > 4 for j in (1, 2, 3)]
+    bounds = sorted({*inside, *(n for n, *_ in windows if n > 1)})
+    assert len(bounds) > 20
+    top = max(sums)
+    monkeypatch.setattr(duplicates, "_slice_bounds",
+                        lambda top, k, count: (bounds + [top + 1] * count)[: count - 1])
+    slices = _value_slices({2: ps}, parts, windows, 1)
+    edges = [0, *bounds, *[top + 1] * (len(slices) - len(bounds))]
+    held = []
+    for (parts_i, windows_i), low, high in zip(slices, edges, edges[1:]):
+        here = [window_sum(ps.f, m)(b) for _, m, lo, hi in parts_i for b in range(lo, hi)]
+        here += [n for n, *_ in windows_i]
+        assert all(low <= n < high for n in here)
+        held += here
+    assert sorted(held) == sorted(sums)
+    capped = find_duplicates_from_prefix(ps, 1)
+    monkeypatch.undo()
+    assert capped == find_duplicates_from_prefix(ps) == find_duplicates(10 ** 7, 2)
+
+
+def test_a_value_with_three_runs_is_one_group_at_every_cap():
+    # 20449 = 143^2 = 38^2 + ... + 48^2 = 7^2 + ... + 39^2
+    ps = build_from_primes(list(range(1, 144)), 2, 20449)
+    for cap in (1, 2, DEFAULT_MAX_IN_MEMORY):
+        groups = find_duplicates_from_prefix(ps, cap)
+        assert len({g.n for g in groups}) == len(groups)
+        (group,) = [g for g in groups if g.n == 20449]
+        assert [(m.start_prime, m.length) for m in group.members] == [(7, 33), (38, 11), (143, 1)]
+
+
+def test_the_search_leaves_numpy_ma_unloaded():
+    # np.unique loads numpy.ma, and its sort is not needed on sorted keys
+    code = "import sys; from primesums import find_duplicates; find_duplicates(10**8, 2); print('numpy.ma' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def builder_limits():
+    """Sieve limits beside the first block edge and the first segment edge."""
+    for edge in (2 * BLOCK_ODDS + 1, 2 * SEGMENT_BYTES + 1):
+        yield from range(edge - 2, edge + 2)
+
+
+@pytest.mark.parametrize("x, k", [(0, 2), (3, 2), (4, 2), (8, 3)]
+                         + [(limit ** 2, 2) for limit in builder_limits()]
+                         + [(10 ** 13, 2), (10 ** 18, 3), (10 ** 21, 3)])
+def test_search_prefix_is_build_as_uint64(x, k):
+    ps, lists = _search_prefix(x, k), build(x, k)
+    if x >= 2 ** 63:
+        assert ps == lists
+        return
+    assert (ps.x, ps.k) == (lists.x, lists.k)
+    assert ps.primes.typecode == ps.f.typecode == "Q"
+    assert ps.primes.tolist() == lists.primes
+    assert ps.f.tolist() == [v % 2 ** 64 for v in lists.f]
+
+
+# g wraps at 2^64 in the fourth powers to 10^18
+@pytest.mark.parametrize("x, k", [(10 ** 10, 2), (10 ** 15, 3), (10 ** 18, 4)])
+def test_hunts_on_the_search_prefix_equal_the_list_path(x, k):
+    groups = find_duplicates(x, k)
+    assert groups == find_duplicates_from_prefix(build(x, k))
+    assert distinct_count(x, k) == count_sums(build(x, k)).count - duplicate_surplus(groups)
+    members = [m for g in groups for m in g.members]
+    assert all(type(m.start_prime) is type(m.n) is int for m in members)
+
+
+@pytest.mark.parametrize("x, ks, values", [
+    (10 ** 13, (2, 3), [23939]),
+    (10 ** 16, (3, 4), [5187440176]),
+    (2 ** 63 - 1, (8, 10), []),
+    (2 ** 63 - 1, (6, 8, 10), []),
+])
+def test_cross_searches_on_the_search_prefix_equal_the_list_path(x, ks, values):
+    groups = find_cross_power_duplicates(x, set(ks))
+    assert [g.n for g in groups] == values
+    assert groups == find_cross_power_duplicates_from_prefixes({k: build(x, k) for k in ks})
+
+
+@pytest.mark.parametrize("k, small", [(4, 10 ** 4), (5, 10 ** 3)])
+def test_hunts_on_both_sides_of_2_63(k, small):
+    # below 2^63 the search reads g, whose windows of up to 2x stay below
+    # 2^64; from 2^63 on it reads build's lists
+    below, at = _search_prefix(2 ** 63 - 1, k), _search_prefix(2 ** 63, k)
+    assert isinstance(below.f, array) and isinstance(at.f, list)
+    assert starts_by_length(below) == starts_by_length(build(2 ** 63 - 1, k))
+    for cap in (small, DEFAULT_MAX_IN_MEMORY):
+        for x in (2 ** 63 - 1, 2 ** 63):
+            assert find_duplicates(x, k, cap) == find_duplicates_from_prefix(build(x, k), cap)
+        assert find_duplicates(2 ** 63 - 1, k, cap) == find_duplicates(2 ** 63, k, cap)
+        cross = find_cross_power_duplicates(2 ** 63 - 1, {k, k + 2}, cap)
+        assert cross == find_cross_power_duplicates(2 ** 63, {k, k + 2}, cap)
