@@ -6,72 +6,65 @@ representations in linear time with a window swept over a stream of
 primes, evaluate closed-form upper and lower bound formulas, and hunt for
 integers with several representations, within one exponent or across
 different exponents.
+
+`import primesums` loads no submodule: each public name is imported
+from its module the first time it is read (PEP 562), so a process
+that never reads a bound or a duplicate search never loads decimal or
+numpy.
 """
 
-from .arith import UINT64_MAX, UINT128_MAX, checked_pow, integer_kth_root
-from .bounds import (
-    BoundEstimate,
-    bound_estimate,
-    c_constant,
-    floor_lower_bound,
-    floor_upper_bound,
-    lower_bound,
-    m_estimate,
-    per_length_bound,
-    tws_upper_s2,
-    upper_bound,
-)
-from .counting import CountReport, count_rows, count_sums, count_up_to
-from .duplicates import (
-    DuplicateGroup,
-    distinct_count,
-    duplicate_surplus,
-    find_cross_power_duplicates,
-    find_duplicates,
-)
-from .enumeration import (
-    Representation,
-    enumerate_sums,
-    length_histogram,
-    smallest_elements,
-)
-from .prefix import PowerPrefixSums, build, build_from_primes
-from .sieve import SieveMemoryError, prime_count, primes_up_to
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "UINT64_MAX",
-    "UINT128_MAX",
-    "BoundEstimate",
-    "CountReport",
-    "DuplicateGroup",
-    "PowerPrefixSums",
-    "Representation",
-    "SieveMemoryError",
-    "bound_estimate",
-    "build",
-    "build_from_primes",
-    "c_constant",
-    "checked_pow",
-    "count_rows",
-    "count_sums",
-    "count_up_to",
-    "distinct_count",
-    "duplicate_surplus",
-    "enumerate_sums",
-    "find_cross_power_duplicates",
-    "find_duplicates",
-    "floor_lower_bound",
-    "floor_upper_bound",
-    "integer_kth_root",
-    "length_histogram",
-    "lower_bound",
-    "m_estimate",
-    "per_length_bound",
-    "prime_count",
-    "primes_up_to",
-    "smallest_elements",
-    "tws_upper_s2",
-    "upper_bound",
-]
+# each public name -> the submodule that defines it, in __all__'s order
+_MODULE_OF = {
+    "UINT64_MAX": "arith",
+    "UINT128_MAX": "arith",
+    "BoundEstimate": "bounds",
+    "CountReport": "counting",
+    "DuplicateGroup": "duplicates",
+    "PowerPrefixSums": "prefix",
+    "Representation": "prefix",
+    "SieveMemoryError": "sieve",
+    "bound_estimate": "bounds",
+    "build": "prefix",
+    "build_from_primes": "prefix",
+    "c_constant": "bounds",
+    "checked_pow": "arith",
+    "count_rows": "counting",
+    "count_sums": "counting",
+    "count_up_to": "counting",
+    "distinct_count": "duplicates",
+    "duplicate_surplus": "duplicates",
+    "enumerate_sums": "enumeration",
+    "find_cross_power_duplicates": "duplicates",
+    "find_duplicates": "duplicates",
+    "floor_lower_bound": "bounds",
+    "floor_upper_bound": "bounds",
+    "integer_kth_root": "arith",
+    "length_histogram": "enumeration",
+    "lower_bound": "bounds",
+    "m_estimate": "bounds",
+    "per_length_bound": "bounds",
+    "prime_count": "sieve",
+    "primes_up_to": "sieve",
+    "smallest_elements": "enumeration",
+    "tws_upper_s2": "bounds",
+    "upper_bound": "bounds",
+}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later reads skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -6,6 +6,11 @@ with floored bound columns), bounds (raw real-valued formulas),
 duplicates and cross (groups printed as fully expanded sums).  Exit
 status is 0 on success, 1 on usage errors, 2 on overflow or resource
 exhaustion.
+
+Each command imports what it runs beyond the counting core: table and
+bounds load the bound formulas (and decimal) when they start, and
+duplicates, cross and count --distinct load the duplicate search (and
+numpy), so enumerate and plain count load neither.
 """
 
 import argparse
@@ -14,14 +19,7 @@ import os
 import stat
 import sys
 
-from .bounds import bound_estimate, floor_lower_bound, floor_upper_bound
 from .counting import TRIM_STARTS, count_rows, count_up_to, start_runs
-from .duplicates import (
-    _search_prefix,
-    count_with_distinct,
-    find_cross_power_duplicates_from_prefixes,
-    find_duplicates_from_prefix,
-)
 from .prefix import sieve_limit
 from .sieve import iter_primes
 
@@ -155,6 +153,8 @@ def _run_enumerate(args: argparse.Namespace, sink) -> None:
 
 def _run_count(args: argparse.Namespace, sink) -> None:
     if args.distinct:
+        from .duplicates import _search_prefix, count_with_distinct
+
         # the duplicate scan needs the prefix array, so count on it too
         report, distinct = count_with_distinct(_search_prefix(args.x, args.k))
         names = [*report._fields, "distinct"]
@@ -169,6 +169,8 @@ def _run_count(args: argparse.Namespace, sink) -> None:
 
 
 def _run_table(args: argparse.Namespace, sink) -> None:
+    from .bounds import floor_lower_bound, floor_upper_bound
+
     if args.from_x < 2:
         raise UsageError(f"--from must be at least 2, got {args.from_x}")
     if args.from_x > args.to_x:
@@ -189,6 +191,8 @@ def _run_table(args: argparse.Namespace, sink) -> None:
 
 
 def _run_bounds(args: argparse.Namespace, sink) -> None:
+    from .bounds import bound_estimate
+
     est = bound_estimate(args.x, args.k)
     names = ["x", "k", "c_k", "upper", "lower", "m_estimate"]
     values = [est.x, est.k, est.c_k, est.upper, est.lower, est.m_estimate]
@@ -215,12 +219,16 @@ def _write_groups(groups, ps_by_k, sink) -> None:
 
 
 def _run_duplicates(args: argparse.Namespace, sink) -> None:
+    from .duplicates import _search_prefix, find_duplicates_from_prefix
+
     ps = _search_prefix(args.x, args.k)
     groups = find_duplicates_from_prefix(ps)
     _write_groups(groups, {args.k: ps}, sink)
 
 
 def _run_cross(args: argparse.Namespace, sink) -> None:
+    from .duplicates import _search_prefix, find_cross_power_duplicates_from_prefixes
+
     ks = sorted(set(args.ks))
     if len(ks) < 2:
         raise UsageError(f"--ks needs at least two distinct exponents, got {args.ks}")

@@ -47,6 +47,10 @@ rise with b, so a block's part of a slice is one range of starts,
 found by bisection on the exact sums, and only the bounds inside the
 block's own sums cut it.
 
+The shape only estimates where the runs lie, so a slice that still
+holds more than the cap is halved at the midpoint of its smallest and
+largest sum, and each half in turn, until it fits or holds one value.
+
 Equal sums share a pass, so each pass's repeated keys are searched
 back into its own ranges.  These are cut into pieces whose sums span
 less than 2^64 (one piece when x < 2^64), where the keys minus the
@@ -54,14 +58,17 @@ first key ascend as the exact sums do.  The windows found are regrouped
 on their exact Python-int sums, which drops windows that only share a
 key, and checked by direct summation.  The cross-power search sorts
 the keys of every exponent together and keeps the groups that span two
-exponents.  numpy is imported by the search itself, so commands that
-never search for duplicates do not pay for loading it.
+exponents.  This module imports numpy when it loads, and it is loaded
+only by a duplicate search: neither the package nor the CLI's other
+commands import it, so they do not pay for loading numpy.
 """
 
 from array import array
 from bisect import bisect_left, bisect_right
 from math import exp, gcd, log
 from typing import NamedTuple
+
+import numpy as np
 
 from .counting import report_of, starts_by_length
 from .prefix import _WRAP, PowerPrefixSums, Representation, build, sieve_limit, window_sum
@@ -151,7 +158,39 @@ def _value_slices(ps_by_k: dict, parts: list, windows: list, max_in_memory: int)
     return slices
 
 
-def _power_sums(np, primes, k: int, g) -> None:
+def _within_cap(ps_by_k: dict, parts: list, windows: list, max_in_memory: int):
+    """(parts, windows) of one slice, halved by value until each fits the cap.
+
+    A piece that holds a single value is not cut: its runs share a pass.
+    """
+    pending = [(parts, windows)]
+    while pending:
+        parts, windows = pending.pop()
+        if len(windows) + sum(hi - lo for *_, lo, hi in parts) <= max_in_memory:
+            yield parts, windows
+            continue
+        sums = [n for n, *_ in windows]
+        for k, m, lo, hi in parts:
+            window = window_sum(ps_by_k[k].f, m)
+            sums += [window(lo), window(hi - 1)]
+        low, high = min(sums), max(sums)
+        if low == high:
+            yield parts, windows
+            continue
+        mid = (low + high + 1) // 2  # low < mid <= high: both halves hold a sum
+        below, above = ([], []), ([], [])
+        for k, m, lo, hi in parts:
+            cut = bisect_left(range(hi), mid, lo, key=window_sum(ps_by_k[k].f, m))
+            if lo < cut:
+                below[0].append((k, m, lo, cut))
+            if cut < hi:
+                above[0].append((k, m, cut, hi))
+        for window in windows:
+            (below if window[0] < mid else above)[1].append(window)
+        pending += [above, below]  # the lower half is yielded first
+
+
+def _power_sums(primes, k: int, g) -> None:
     """Fill g, a zeroed uint64 array one longer than the uint64 primes, with f mod 2^64.
 
     g[0] stays 0, and then g runs over the sum of the primes' k-th
@@ -171,17 +210,15 @@ def _search_prefix(x: int, k: int) -> PowerPrefixSums:
     """
     if x >= _EXACT_BELOW:
         return build(x, k)
-    import numpy as np
-
     primes = array("Q")
     for first, flags in sieve_blocks(sieve_limit(x, k)):
         primes.frombytes((np.flatnonzero(np.frombuffer(flags, np.uint8)) * 2 + first).tobytes())
     g = array("Q", [0]) * (len(primes) + 1)
-    _power_sums(np, np.asarray(primes), k, np.asarray(g))
+    _power_sums(np.asarray(primes), k, np.asarray(g))
     return PowerPrefixSums(x, k, primes, g)
 
 
-def _keys(np, ps: PowerPrefixSums, modulus: int) -> tuple:
+def _keys(ps: PowerPrefixSums, modulus: int) -> tuple:
     """g = f mod 2^64 of ps, as a uint64 array, and its index e.
 
     The search's own prefix sums hold g as f, which the array shares; a
@@ -194,11 +231,11 @@ def _keys(np, ps: PowerPrefixSums, modulus: int) -> tuple:
         keys = np.asarray(ps.f)
     else:
         keys = np.zeros(len(primes) + 1, dtype=np.uint64)
-        _power_sums(np, primes, ps.k, keys)
+        _power_sums(primes, ps.k, keys)
     return keys, int(others[-1]) + 1 if len(others) else 0
 
 
-def _passes(np, ps_by_k: dict, counts_by_k: dict, max_in_memory: int, keys_of: dict):
+def _passes(ps_by_k: dict, counts_by_k: dict, max_in_memory: int, keys_of: dict):
     """(r, parts, windows) per pass, all of whose sums are r mod G.
 
     parts are ranges (k, m, lo, hi) of starts, windows are (n, k, b, m)
@@ -208,7 +245,7 @@ def _passes(np, ps_by_k: dict, counts_by_k: dict, max_in_memory: int, keys_of: d
     modulus = gcd(*map(_power_modulus, ps_by_k))
     classes = {}
     for k, ps in ps_by_k.items():
-        keys_of[k], e = _keys(np, ps, modulus)
+        keys_of[k], e = _keys(ps, modulus)
         for m, reach in enumerate(counts_by_k[k], 1):
             if e < reach:
                 classes.setdefault(m % modulus, ([], []))[0].append((k, m, e, reach))
@@ -217,11 +254,12 @@ def _passes(np, ps_by_k: dict, counts_by_k: dict, max_in_memory: int, keys_of: d
                 n = window(b)
                 classes.setdefault(n % modulus, ([], []))[1].append((n, k, b, m))
     for r in sorted(classes):
-        for parts, windows in _value_slices(ps_by_k, *classes[r], max_in_memory):
-            yield r, parts, windows
+        for shaped in _value_slices(ps_by_k, *classes[r], max_in_memory):
+            for parts, windows in _within_cap(ps_by_k, *shaped, max_in_memory):
+                yield r, parts, windows
 
 
-def _repeated_keys(np, keys_of: dict, parts: list, windows: list):
+def _repeated_keys(keys_of: dict, parts: list, windows: list):
     """Sorted distinct keys that two or more windows of the pass share."""
     size = sum(hi - lo for *_, lo, hi in parts)
     out = np.empty(size + len(windows), dtype=np.uint64)
@@ -240,7 +278,7 @@ def _repeated_keys(np, keys_of: dict, parts: list, windows: list):
     return repeats[first]
 
 
-def _hits(np, window, g, m: int, lo: int, hi: int, repeated):
+def _hits(window, g, m: int, lo: int, hi: int, repeated):
     """Starts in lo..hi-1 whose length-m window has one of the repeated keys."""
     while lo < hi:
         # the piece lo..end-1 has sums below window(lo) + 2^64
@@ -280,17 +318,15 @@ def _duplicate_groups(ps_by_k: dict, counts_by_k: dict, max_in_memory: int) -> l
     """
     if max_in_memory < 1:
         raise ValueError(f"max_in_memory must be positive, got {max_in_memory}")
-    import numpy as np
-
     keys_of = {}
     rows_by_n = {}
-    for _, parts, windows in _passes(np, ps_by_k, counts_by_k, max_in_memory, keys_of):
-        repeated = _repeated_keys(np, keys_of, parts, windows)
+    for _, parts, windows in _passes(ps_by_k, counts_by_k, max_in_memory, keys_of):
+        repeated = _repeated_keys(keys_of, parts, windows)
         if not len(repeated):
             continue
         for k, m, lo, hi in parts:
             window = window_sum(ps_by_k[k].f, m)
-            for b in _hits(np, window, keys_of[k], m, lo, hi, repeated):
+            for b in _hits(window, keys_of[k], m, lo, hi, repeated):
                 rows_by_n.setdefault(window(b), []).append((k, b, m))
         shared = set(repeated.tolist())
         for n, k, b, m in windows:
@@ -317,7 +353,8 @@ def find_duplicates_from_prefix(
 ) -> list:
     """Duplicate groups of one prefix array.
 
-    At most about max_in_memory keys (8 bytes each) are sorted at once.
+    At most max_in_memory keys (8 bytes each) are sorted at once, or the
+    runs of one value if more of them share it.
     """
     return _duplicate_groups({ps.k: ps}, {ps.k: starts_by_length(ps)}, max_in_memory)
 

@@ -235,6 +235,10 @@ def test_table_and_count_stream_without_the_prefix_array(capsys, monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("table, count and enumerate must not build the prefix array")
 
+    # the CLI loads the hunt only for the commands that hunt; loaded
+    # here, its build is guarded too
+    import primesums.duplicates  # noqa: F401
+
     for name, module in list(sys.modules.items()):
         if name == "primesums" or name.startswith("primesums."):
             for attr in ("build", "build_from_primes", "primes_up_to"):
@@ -359,7 +363,9 @@ def run_stdlib_only(code):
     "import primesums",
     "from primesums.cli import main; main(['table', '--k', '3', '--from', '1e3', '--to', '1e6'])",
     "from primesums.cli import main; main(['bounds', '--k', '2', '--x', '1e15'])",
-], ids=["import", "table", "bounds"])
+    "from primesums.cli import main; main(['enumerate', '--k', '2', '--x', '1e6'])",
+    "from primesums.cli import main; main(['count', '--k', '2', '--x', '1e6'])",
+], ids=["import", "table", "bounds", "enumerate", "count"])
 def test_only_stdlib_imported_outside_duplicate_search(code):
     # numpy costs every enumerate and table process 0.1-0.2 s, and the
     # bound formulas need nothing beyond the standard library's decimal

@@ -6,7 +6,6 @@ import tempfile
 from array import array
 from math import gcd
 
-import numpy as np
 import pytest
 
 from primesums import duplicates
@@ -91,20 +90,34 @@ def test_tiny_memory_cap_same_results():
     assert find_duplicates(10 ** 8, 2, max_in_memory=5) == find_duplicates(10 ** 8, 2)
 
 
-@pytest.mark.parametrize("x, k", [(10 ** 13, 2), (10 ** 18, 3), (10 ** 30, 5)])
+@pytest.mark.parametrize(
+    "x, k", [(10 ** 10, 2), (10 ** 12, 2), (10 ** 13, 2), (10 ** 18, 3), (10 ** 30, 5)]
+)
 def test_value_slices_keep_to_the_cap(x, k):
     # the bounds follow the count of runs up to v with its log factor:
     # the bare power x (i/P)^((k+1)/2) put 9-12% past the cap here, in
-    # the lowest slice
+    # the lowest slice, and the shape alone up to 15% at 10^10, where
+    # class 1 also holds the one-term runs; a slice past the cap is
+    # halved by value until it fits
     ps = build(x, k)
     counts = starts_by_length(ps)
-    cap = sum(counts) // (4 * _power_modulus(k))  # about 4 slices a class
-    held = [
-        len(windows) + sum(hi - lo for *_, lo, hi in parts)
-        for _, parts, windows in _passes(np, {k: ps}, {k: counts}, cap, {})
-    ]
+    cap = sum(counts) // (8 * _power_modulus(k))  # about 8 slices a class
+    held = []
+    for _, parts, windows in _passes({k: ps}, {k: counts}, cap, {}):
+        held.append(len(windows) + sum(hi - lo for *_, lo, hi in parts))
+        if held[-1] > cap:  # only the runs of a single value may pass the cap
+            sums = {n for n, *_ in windows}
+            for _, m, lo, hi in parts:
+                sums |= {window_sum(ps.f, m)(lo), window_sum(ps.f, m)(hi - 1)}
+            assert len(sums) == 1
     assert sum(held) == sum(counts)
-    assert max(held) <= 1.02 * cap
+
+
+@pytest.mark.parametrize("x", [10 ** 10, 10 ** 12])
+def test_square_hunts_at_8_slices_a_class_equal_the_default(x):
+    ps = _search_prefix(x, 2)
+    cap = sum(starts_by_length(ps)) // (8 * 24)
+    assert find_duplicates_from_prefix(ps, cap) == find_duplicates_from_prefix(ps)
 
 
 def test_slice_bounds_ascend():
@@ -218,7 +231,7 @@ def test_a_sum_on_a_slice_bound_opens_the_upper_slice(monkeypatch, make):
     # sums of the class, at starts inside its ranges and before e
     ps = make(10 ** 7, 2)
     counts = starts_by_length(ps)
-    (_, parts, windows), = [p for p in _passes(np, {2: ps}, {2: counts}, 10 ** 9, {}) if p[0] == 1]
+    (_, parts, windows), = [p for p in _passes({2: ps}, {2: counts}, 10 ** 9, {}) if p[0] == 1]
     sums = [window_sum(ps.f, m)(b) for _, m, lo, hi in parts for b in range(lo, hi)]
     sums += [n for n, *_ in windows]
     inside = [window_sum(ps.f, m)(lo + (hi - lo) * j // 4)

@@ -18,7 +18,6 @@ from contextlib import redirect_stdout
 from itertools import accumulate
 from math import gcd
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -285,7 +284,7 @@ def held_windows(ps_by_k, cap):
     """(n, k, b, m, pass, r) for every window that the search's passes hold."""
     counts_by_k = {k: starts_by_length(ps) for k, ps in ps_by_k.items()}
     held = []
-    for i, (r, parts, windows) in enumerate(_passes(np, ps_by_k, counts_by_k, cap, {})):
+    for i, (r, parts, windows) in enumerate(_passes(ps_by_k, counts_by_k, cap, {})):
         for k, m, lo, hi in parts:
             f = ps_by_k[k].f
             held += [(f[b + m] - f[b], k, b, m, i, r) for b in range(lo, hi)]
@@ -336,7 +335,7 @@ def test_keys_are_the_prefix_sums_mod_2_64(case, stream_case):
     # numpy's wrapping powers and running sum against Python's ints
     for ps in (build_from_primes(*case), build(*stream_case)):
         modulus = _power_modulus(ps.k)
-        keys, e = _keys(np, ps, modulus)
+        keys, e = _keys(ps, modulus)
         assert keys.tolist() == [v % 2 ** 64 for v in ps.f]
         others = [i for i, p in enumerate(ps.primes) if gcd(p, modulus) > 1]
         assert e == (others[-1] + 1 if others else 0)
