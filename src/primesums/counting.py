@@ -26,19 +26,20 @@ g_j^k, so c_j is pi(g_j) - j + 1 plus those of the next j - 1 starts
 whose sums stay <= x, and only the 2j - 2 primes around g_j decide it.
 c_1 = pi(x^(1/k)) is prime_count.
 
-L balances the two costs.  A crossover costs one bisection over its
-undecided starts, a count of flags and some bookkeeping, about 8 us
-(CPython 3.11, 2 vCPUs); it saves the sweep of the starts between
-g_{j+1} and g_j, about (g_j - g_{j+1}) / ln g_j of them, at about
-0.26 us each, and 1.2 (k = 2) to 1.7 (k = 5) times that since a window
-raises each start's prime again as it leaves.  So a crossover pays
-while it replaces some 20 to 32 starts or more, and L is the first j
-at which g_j - g_{j+1} < 32 ln g_j.  L follows from (x, k) alone: it is
-1089 for x = 10^15, k = 2, 468 for 10^20, k = 3, 357 for 10^32, k = 5,
-and 1 for every square row below 514089 = 717^2.  The balance is flat:
-the paper's k = 2, 3 and 5 tables count in the same time, within
-noise, with 16 or 64 in place of 32, and with 16 or 24 since the
-window raises its primes again.
+L balances the two costs.  A crossover costs about 24 to 33 us
+(CPython 3.11, 2 vCPUs), three quarters of it in _Prefix.cover reading
+the primes around g_j: the paper's k = 2, 3 and 5 tables read 194k,
+73k and 66k primes there, against 147k, 118k and 208k starts swept.
+It saves the sweep of the starts between g_{j+1} and g_j, about
+(g_j - g_{j+1}) / ln g_j of them, at about 0.42 us each, the window's
+second raising of each leaving prime included.  So a crossover pays
+while it replaces some 60 to 80 starts or more.  The balance is flat,
+though: the three tables count in the same time, within noise (0.41 to
+0.46 s in all), with a crossover kept while it replaces anything from
+16 to 256 starts, and 512 and 1024 took 0.56 and 0.68 s.  L is the
+first j at which g_j - g_{j+1} < 32 ln g_j, so it follows from (x, k)
+alone: it is 1089 for x = 10^15, k = 2, 468 for 10^20, k = 3, 357 for
+10^32, k = 5, and 1 for every square row below 514089 = 717^2.
 
 count_rows counts a whole table from one sieve pass up to the largest
 row's root.  The sieve hands over each sub-block's flags, and this
@@ -199,7 +200,7 @@ class _Row:
 
     def __init__(self, x: int, k: int):
         g = [integer_kth_root(x, k)]
-        # a crossover pays while it replaces 32 or more starts (see above)
+        # a crossover is counted while it replaces 32 or more starts (see above)
         while 1 < g[-1]:
             after = integer_kth_root(x // (len(g) + 1), k)
             if g[-1] - after < 32 * math.log(g[-1]):

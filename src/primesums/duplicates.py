@@ -38,18 +38,19 @@ start before e and have n = r (mod G); those are one small chunk of
 the class's keys, matched on their exact sums.  A pass sorts about
 keys/G keys, and runs with equal sums share a class.
 
-A class with more keys than the in-memory cap is cut into value
-slices, P = ceil(keys / cap) in all: slice i holds the sums from v_i
-up to v_{i+1}, where the runs up to v_i are i/P of those up to the
-class's largest sum by the shape of their count,
-v^(2/(k+1)) / (ln v)^(2k/(k+1)).  For fixed m the sums
-rise with b, so a block's part of a slice is one range of starts,
-found by bisection on the exact sums, and only the bounds inside the
-block's own sums cut it.
-
-The shape only estimates where the runs lie, so a slice that still
-holds more than the cap is halved at the midpoint of its smallest and
-largest sum, and each half in turn, until it fits or holds one value.
+One rule cuts a class to the in-memory cap.  A piece with more keys
+than the cap, the whole class first, is cut into value slices,
+P = ceil(keys / cap) in all: slice i holds the sums from v_i up to
+v_{i+1}, where the runs from the piece's smallest sum up to v_i are
+i/P of those from it up to its largest sum, by the shape of their
+count, v^(2/(k+1)) / (ln v)^(2k/(k+1)).  For fixed m the sums rise
+with b, so a block's part of a slice is one range of starts, found by
+bisection on the exact sums, and only the bounds inside the block's
+own sums cut it.  The shape only estimates where the runs lie, so a
+slice that still holds more than the cap is cut by the same rule, and
+so on until each piece fits or holds one value.  The bounds lie above
+the smallest sum and at most the largest, so every cut makes at least
+two pieces.
 
 Equal sums share a pass, so each pass's repeated keys are searched
 back into its own ranges.  These are cut into pieces whose sums span
@@ -105,89 +106,83 @@ def _power_modulus(k: int) -> int:
     return modulus
 
 
-def _slice_bounds(x: int, k: int, count: int) -> list:
-    """v_1 <= ... <= v_{count-1}, which cut the runs up to x into count slices.
+def _slice_bounds(low: int, top: int, k: int, count: int) -> list:
+    """v_1 <= ... <= v_{count-1} in (low, top], which cut the runs from low to top in count slices.
 
     The runs up to v number about v^(2/(k+1)) / (ln v)^(2k/(k+1)), so
-    with u = ln v the slices hold equal shares of e^(2 s(u) / (k+1)),
-    s(u) = u - k ln u.  s falls below u = k, and there it is continued
-    as u - k ln k, which gives v_i = x (i/count)^((k+1)/2) for x < e^k.
-    Each u_i is found by bisection, with the same bracket and steps for
-    every i, so the bounds ascend for every x, k and count.
+    with u = ln v the slices hold equal shares of e^(2 s(u) / (k+1))
+    between low and top, s(u) = u - k ln u.  s falls below u = k, and
+    there it is continued as u - k ln k, which gives the bare power
+    v^(2/(k+1)) for v < e^k.  Each u_i is found by bisection between
+    ln low and ln top, with the same bracket and steps for every i, so
+    the bounds ascend for every low, top, k and count; 24 steps place
+    them to 2^-24 of that bracket.
     """
 
     def s(u: float) -> float:
         return u - k * log(max(u, k))
 
-    top = log(x)
-    peak = s(top)
-    # s(low) is below every target: the line through s(k) rises with slope 1
-    low = min(top, k) - (k + 1) / 2 * log(count) - 1
+    bottom, peak = log(max(low, 1)), log(top)
+    # the share of e^(2 s(u) / (k+1)) up to top that lies below low
+    floor = exp(2 * (s(bottom) - s(peak)) / (k + 1))
     bounds = []
     for i in range(1, count):
-        target = peak + (k + 1) / 2 * log(i / count)
-        lo, hi = low, top
-        for _ in range(64):
+        target = s(peak) + (k + 1) / 2 * log(floor + (1 - floor) * i / count)
+        lo, hi = bottom, peak
+        for _ in range(24):
             mid = (lo + hi) / 2
             lo, hi = (mid, hi) if s(mid) < target else (lo, mid)
-        bounds.append(int(exp(hi)))
+        bounds.append(min(max(int(exp(hi)), low + 1), top))
     return bounds
 
 
-def _value_slices(ps_by_k: dict, parts: list, windows: list, max_in_memory: int) -> list:
-    """(parts, windows) per value slice of one class."""
-    keys = len(windows) + sum(hi - lo for *_, lo, hi in parts)
-    count = -(-keys // max_in_memory)
-    if count <= 1:
-        return [(parts, windows)]
-    # the largest sum of the class: a wrapped g[-1] means nothing, and a
-    # hand-built x may pass e^709 where the sums of its list do not
-    top = max([window_sum(ps_by_k[k].f, m)(hi - 1) for k, m, _, hi in parts]
-              + [n for n, *_ in windows])
-    bounds = _slice_bounds(top, min(ps_by_k), count)
-    slices = [([], []) for _ in range(count)]
+def _span(ps_by_k: dict, parts: list, windows: list) -> tuple:
+    """The smallest and the largest sum of a piece.
+
+    A part's sums rise from its start lo to hi - 1.  The list of ends
+    is freed on return, before the search sorts the pieces.
+    """
+    sums = [n for n, *_ in windows]
     for k, m, lo, hi in parts:
         window = window_sum(ps_by_k[k].f, m)
-        first, last = (bisect_right(bounds, window(b)) for b in (lo, hi - 1))
-        cuts = [bisect_left(range(hi), v, lo, key=window) for v in bounds[first:last]]
-        for i, start, end in zip(range(first, last + 1), [lo, *cuts], [*cuts, hi]):
-            if start < end:  # equal bounds leave a slice empty
-                slices[i][0].append((k, m, start, end))
-    for window in windows:
-        slices[bisect_right(bounds, window[0])][1].append(window)
-    return slices
+        sums += [window(lo), window(hi - 1)]
+    return min(sums), max(sums)
 
 
 def _within_cap(ps_by_k: dict, parts: list, windows: list, max_in_memory: int):
-    """(parts, windows) of one slice, halved by value until each fits the cap.
+    """(parts, windows) of one class, cut by the count's shape until each fits the cap.
 
-    A piece that holds a single value is not cut: its runs share a pass.
+    A piece with more keys than the cap is cut into ceil(keys / cap)
+    value slices, at the bounds of _slice_bounds between its smallest
+    and largest sum, and each slice still past the cap is cut again.
+    The bounds lie in (smallest, largest], so the smallest sum falls in
+    the first slice and the largest in the last, and every cut makes at
+    least two pieces.  A piece that holds a single value is not cut: its
+    runs share a pass.
     """
     pending = [(parts, windows)]
     while pending:
         parts, windows = pending.pop()
-        if len(windows) + sum(hi - lo for *_, lo, hi in parts) <= max_in_memory:
+        keys = len(windows) + sum(hi - lo for *_, lo, hi in parts)
+        if keys <= max_in_memory:
             yield parts, windows
             continue
-        sums = [n for n, *_ in windows]
-        for k, m, lo, hi in parts:
-            window = window_sum(ps_by_k[k].f, m)
-            sums += [window(lo), window(hi - 1)]
-        low, high = min(sums), max(sums)
+        low, high = _span(ps_by_k, parts, windows)
         if low == high:
             yield parts, windows
             continue
-        mid = (low + high + 1) // 2  # low < mid <= high: both halves hold a sum
-        below, above = ([], []), ([], [])
+        bounds = _slice_bounds(low, high, min(ps_by_k), -(-keys // max_in_memory))
+        slices = [([], []) for _ in range(len(bounds) + 1)]
         for k, m, lo, hi in parts:
-            cut = bisect_left(range(hi), mid, lo, key=window_sum(ps_by_k[k].f, m))
-            if lo < cut:
-                below[0].append((k, m, lo, cut))
-            if cut < hi:
-                above[0].append((k, m, cut, hi))
+            window = window_sum(ps_by_k[k].f, m)
+            first, last = (bisect_right(bounds, window(b)) for b in (lo, hi - 1))
+            cuts = [bisect_left(range(hi), v, lo, key=window) for v in bounds[first:last]]
+            for i, start, end in zip(range(first, last + 1), [lo, *cuts], [*cuts, hi]):
+                if start < end:  # equal bounds leave a slice empty
+                    slices[i][0].append((k, m, start, end))
         for window in windows:
-            (below if window[0] < mid else above)[1].append(window)
-        pending += [above, below]  # the lower half is yielded first
+            slices[bisect_right(bounds, window[0])][1].append(window)
+        pending += [piece for piece in reversed(slices) if piece != ([], [])]
 
 
 def _power_sums(primes, k: int, g) -> None:
@@ -254,9 +249,8 @@ def _passes(ps_by_k: dict, counts_by_k: dict, max_in_memory: int, keys_of: dict)
                 n = window(b)
                 classes.setdefault(n % modulus, ([], []))[1].append((n, k, b, m))
     for r in sorted(classes):
-        for shaped in _value_slices(ps_by_k, *classes[r], max_in_memory):
-            for parts, windows in _within_cap(ps_by_k, *shaped, max_in_memory):
-                yield r, parts, windows
+        for parts, windows in _within_cap(ps_by_k, *classes[r], max_in_memory):
+            yield r, parts, windows
 
 
 def _repeated_keys(keys_of: dict, parts: list, windows: list):

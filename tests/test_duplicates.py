@@ -4,6 +4,8 @@ import subprocess
 import sys
 import tempfile
 from array import array
+from bisect import bisect_right
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -15,7 +17,7 @@ from primesums.duplicates import (
     _power_modulus,
     _search_prefix,
     _slice_bounds,
-    _value_slices,
+    _within_cap,
     DEFAULT_MAX_IN_MEMORY,
     distinct_count,
     duplicate_surplus,
@@ -72,8 +74,8 @@ def test_small_memory_cap_same_results_no_files(tmp_path, monkeypatch):
     capped_cross = find_cross_power_duplicates(10 ** 5, {2, 3}, max_in_memory=100)
     assert capped_cross == cross
     assert distinct_count(10 ** 8, 2, **capped) == distinct_count(10 ** 8, 2)
-    # past 2^64 the value slices (1466 passes over 480 classes of k = 8,
-    # 1332 over the 24 of {8, 10}) meet the cut of each range of starts
+    # past 2^64 the value slices (1940 passes over 480 classes of k = 8,
+    # 1869 over the 24 of {8, 10}) meet the cut of each range of starts
     # into pieces spanning less than 2^64
     past = dict(max_in_memory=100)
     x = 10 ** 30
@@ -85,8 +87,8 @@ def test_small_memory_cap_same_results_no_files(tmp_path, monkeypatch):
 
 
 def test_tiny_memory_cap_same_results():
-    # about 6300 passes of a few keys each; a block is bisected only at
-    # the value bounds inside its own sums, so this stays linear
+    # 8371 passes of a few keys each; a block is bisected only at the
+    # value bounds inside its own sums, so this stays linear
     assert find_duplicates(10 ** 8, 2, max_in_memory=5) == find_duplicates(10 ** 8, 2)
 
 
@@ -98,7 +100,7 @@ def test_value_slices_keep_to_the_cap(x, k):
     # the bare power x (i/P)^((k+1)/2) put 9-12% past the cap here, in
     # the lowest slice, and the shape alone up to 15% at 10^10, where
     # class 1 also holds the one-term runs; a slice past the cap is
-    # halved by value until it fits
+    # cut again by the shape until it fits
     ps = build(x, k)
     counts = starts_by_length(ps)
     cap = sum(counts) // (8 * _power_modulus(k))  # about 8 slices a class
@@ -113,6 +115,17 @@ def test_value_slices_keep_to_the_cap(x, k):
     assert sum(held) == sum(counts)
 
 
+@pytest.mark.parametrize("x, k, cap, most", [(10 ** 30, 8, 100, 2514), (10 ** 8, 2, 5, 8431)])
+def test_one_cutting_rule_makes_no_more_passes_than_halving(x, k, cap, most):
+    # value slices halved at their midpoint once past the cap made 2514
+    # and 8431 passes here; cutting them again by the shape makes 1940
+    # and 8371
+    ps = _search_prefix(x, k)
+    passes = list(_passes({k: ps}, {k: starts_by_length(ps)}, cap, {}))
+    assert len(passes) <= most
+    assert all(parts or windows for _, parts, windows in passes)
+
+
 @pytest.mark.parametrize("x", [10 ** 10, 10 ** 12])
 def test_square_hunts_at_8_slices_a_class_equal_the_default(x):
     ps = _search_prefix(x, 2)
@@ -122,13 +135,19 @@ def test_square_hunts_at_8_slices_a_class_equal_the_default(x):
 
 def test_slice_bounds_ascend():
     # the count's shape falls below v = e^k, where the bounds follow
-    # the bare power; hand-built lists may have any x
+    # the bare power; hand-built lists may have any top, and f of this
+    # one passes 2^128
+    past = build_from_primes(list(range(2 ** 42, 2 ** 42 + 16)), 3, 2 ** 200).f[-1]
+    assert past > 2 ** 128
     for k in (2, 3, 5, 8, 20, 64):
-        for x in (1, 2, 13, 10 ** 5, int(math.exp(k)), 10 ** 30, 2 ** 128 - 1):
-            for count in (2, 3, 10, 100):
-                bounds = _slice_bounds(x, k, count)
-                assert len(bounds) == count - 1
-                assert all(0 <= a <= b <= x for a, b in zip(bounds, bounds[1:]))
+        for top in (1, 2, 13, 10 ** 5, int(math.exp(k)), 10 ** 30, 2 ** 128 - 1, past):
+            for low in sorted({0, 1, top // 3, top - 1} - {top}):
+                for count in (2, 3, 10, 100):
+                    bounds = _slice_bounds(low, top, k, count)
+                    assert len(bounds) == count - 1
+                    # above low, so every cut leaves low and top in different slices
+                    assert low < bounds[0] and bounds[-1] <= top
+                    assert all(a <= b for a, b in zip(bounds, bounds[1:]))
 
 
 def test_slices_stop_at_the_largest_sum():
@@ -238,17 +257,21 @@ def test_a_sum_on_a_slice_bound_opens_the_upper_slice(monkeypatch, make):
               for _, m, lo, hi in parts if hi - lo > 4 for j in (1, 2, 3)]
     bounds = sorted({*inside, *(n for n, *_ in windows if n > 1)})
     assert len(bounds) > 20
-    top = max(sums)
-    monkeypatch.setattr(duplicates, "_slice_bounds",
-                        lambda top, k, count: (bounds + [top + 1] * count)[: count - 1])
-    slices = _value_slices({2: ps}, parts, windows, 1)
-    edges = [0, *bounds, *[top + 1] * (len(slices) - len(bounds))]
-    held = []
-    for (parts_i, windows_i), low, high in zip(slices, edges, edges[1:]):
+    # a piece is cut at the bounds inside its sums, and by the shape
+    # once none are left there
+    shape = duplicates._slice_bounds
+    monkeypatch.setattr(duplicates, "_slice_bounds", lambda low, top, k, count: (
+        [v for v in bounds if low < v <= top] or shape(low, top, k, count)))
+    # at this cap the first cut's slices fit, so each piece is one slice
+    cap = max(Counter(bisect_right(bounds, n) for n in sums).values())
+    held, slices = [], []
+    for parts_i, windows_i in _within_cap({2: ps}, parts, windows, cap):
         here = [window_sum(ps.f, m)(b) for _, m, lo, hi in parts_i for b in range(lo, hi)]
         here += [n for n, *_ in windows_i]
-        assert all(low <= n < high for n in here)
+        (i,) = {bisect_right(bounds, n) for n in here}
+        slices.append(i)
         held += here
+    assert slices == sorted(set(slices)) and len(slices) > 20
     assert sorted(held) == sorted(sums)
     capped = find_duplicates_from_prefix(ps, 1)
     monkeypatch.undo()
