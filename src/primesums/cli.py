@@ -82,11 +82,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sums of k-th powers of consecutive primes: "
         "enumerate, count, bound, and search for duplicates.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    sub = parser.add_subparsers(required=True, metavar="command")
 
-    def add(name, help_text, tabular=True):
+    def add(name, runner, help_text, tabular=True):
         # duplicates and cross print expanded sums, which have no columns
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(runner=runner)  # run(args) calls it
         if tabular:
             p.add_argument("--format", choices=("tsv", "csv"), default="tsv",
                            help="tsv (no header) or csv (header row)")
@@ -94,34 +95,38 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write output to PATH instead of stdout")
         return p
 
-    p = add("enumerate", "stream one line per representation: n, start prime")
+    p = add("enumerate", _run_enumerate,
+            "stream one line per representation: n, start prime")
     p.add_argument("--k", type=_positive_int, required=True, help="exponent")
     p.add_argument("--x", type=parse_x, required=True, help="inclusive bound on n")
 
-    p = add("count", "one summary line: x, k, count, max run length, primes")
+    p = add("count", _run_count,
+            "one summary line: x, k, count, max run length, primes")
     p.add_argument("--k", type=_positive_int, required=True, help="exponent")
     p.add_argument("--x", type=parse_x, required=True, help="inclusive bound on n")
     p.add_argument("--distinct", action="store_true",
                    help="append the distinct-value count (runs the duplicate scan)")
 
-    p = add("table", "decade rows from --from to --to: x, count, upper, lower")
+    p = add("table", _run_table,
+            "decade rows from --from to --to: x, count, upper, lower")
     p.add_argument("--k", type=_positive_int, required=True, help="exponent")
     p.add_argument("--from", dest="from_x", type=parse_x, required=True,
                    help="first x (decade-stepped upward)")
     p.add_argument("--to", dest="to_x", type=parse_x, required=True,
                    help="last x (inclusive)")
 
-    p = add("bounds", "raw bound formulas at one point: constant, main terms")
+    p = add("bounds", _run_bounds,
+            "raw bound formulas at one point: constant, main terms")
     p.add_argument("--k", type=_positive_int, required=True, help="exponent")
     p.add_argument("--x", type=parse_x, required=True, help="evaluation point")
 
-    p = add("duplicates", "values with several runs for one exponent, expanded",
-            tabular=False)
+    p = add("duplicates", _run_duplicates,
+            "values with several runs for one exponent, expanded", tabular=False)
     p.add_argument("--k", type=_positive_int, required=True, help="exponent")
     p.add_argument("--x", type=parse_x, required=True, help="inclusive bound on n")
 
-    p = add("cross", "values representable under several exponents, expanded",
-            tabular=False)
+    p = add("cross", _run_cross,
+            "values representable under several exponents, expanded", tabular=False)
     p.add_argument("--ks", type=_parse_ks, required=True,
                    help="comma-separated exponents, e.g. 2,3")
     p.add_argument("--x", type=parse_x, required=True, help="inclusive bound on n")
@@ -129,20 +134,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sep(args: argparse.Namespace) -> str:
-    return "\t" if args.format == "tsv" else ","
-
-
-def _header(args: argparse.Namespace, sink, names) -> None:
-    if args.format == "csv":
-        sink.write(",".join(names) + "\n")
+def _columns(args: argparse.Namespace, sink, names) -> str:
+    """The separator of args.format; csv first writes its header row of names."""
+    if args.format == "tsv":
+        return "\t"
+    sink.write(",".join(names) + "\n")
+    return ","
 
 
 def _run_enumerate(args: argparse.Namespace, sink) -> None:
     # checked before the header: a bad k, x or sieve prints nothing
     primes = iter_primes(sieve_limit(args.x, args.k))
-    sep = _sep(args)
-    _header(args, sink, ("n", "start_prime"))
+    sep = _columns(args, sink, ("n", "start_prime"))
     for p, fb, ends in start_runs(primes, args.k, args.x):
         # one write per TRIM_STARTS runs of a start, which share its
         # start prime, so a long first run is never one string
@@ -163,8 +166,7 @@ def _run_count(args: argparse.Namespace, sink) -> None:
         report = count_up_to(args.x, args.k)
         names = list(report._fields)
         values = list(report)
-    sep = _sep(args)
-    _header(args, sink, names)
+    sep = _columns(args, sink, names)
     sink.write(sep.join(str(v) for v in values) + "\n")
 
 
@@ -175,8 +177,7 @@ def _run_table(args: argparse.Namespace, sink) -> None:
         raise UsageError(f"--from must be at least 2, got {args.from_x}")
     if args.from_x > args.to_x:
         raise UsageError(f"--from {args.from_x} exceeds --to {args.to_x}")
-    sep = _sep(args)
-    _header(args, sink, ("x", "count", "upper", "lower"))
+    sep = _columns(args, sink, ("x", "count", "upper", "lower"))
     xs = []
     x = args.from_x
     while x <= args.to_x:
@@ -199,8 +200,7 @@ def _run_bounds(args: argparse.Namespace, sink) -> None:
     if est.tws_upper is not None:
         names.append("tws_upper")
         values.append(est.tws_upper)
-    sep = _sep(args)
-    _header(args, sink, names)
+    sep = _columns(args, sink, names)
     sink.write(sep.join(str(v) for v in values) + "\n")
 
 
@@ -232,27 +232,16 @@ def _run_cross(args: argparse.Namespace, sink) -> None:
     ks = sorted(set(args.ks))
     if len(ks) < 2:
         raise UsageError(f"--ks needs at least two distinct exponents, got {args.ks}")
+    for k in ks:  # every k, x and budget refused before a prefix is built
+        sieve_limit(args.x, k)
     ps_by_k = {k: _search_prefix(args.x, k) for k in ks}
     groups = find_cross_power_duplicates_from_prefixes(ps_by_k)
     _write_groups(groups, ps_by_k, sink)
 
 
-_COMMANDS = {
-    "enumerate": _run_enumerate,
-    "count": _run_count,
-    "table": _run_table,
-    "bounds": _run_bounds,
-    "duplicates": _run_duplicates,
-    "cross": _run_cross,
-}
-
-
 def run(args: argparse.Namespace) -> int:
-    command = _COMMANDS.get(args.command)
-    if command is None:
-        raise UsageError(f"unknown command {args.command!r}")
     if args.out is None:
-        command(args, sys.stdout)
+        args.runner(args, sys.stdout)
         sys.stdout.flush()
         return 0
     # opened before the try: a file that cannot be opened is not removed
@@ -260,7 +249,7 @@ def run(args: argparse.Namespace) -> int:
     removable = _is_plain_file(args.out, sink)
     try:
         with sink:
-            command(args, sink)
+            args.runner(args, sink)
     except BaseException:
         # a failed or interrupted run leaves no empty or partial file; a
         # symlink, device or pipe (/dev/stdout, /dev/null) is never removed

@@ -369,6 +369,8 @@ def find_cross_power_duplicates(
     ks = sorted(set(k_set))
     if len(ks) < 2:
         raise ValueError(f"cross-power search needs >= 2 distinct exponents, got {ks}")
+    for k in ks:  # every k, x and budget refused before a prefix is built
+        sieve_limit(x, k)
     ps_by_k = {k: _search_prefix(x, k) for k in ks}
     return find_cross_power_duplicates_from_prefixes(ps_by_k, max_in_memory)
 

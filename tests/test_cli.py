@@ -167,6 +167,63 @@ def test_cross_requires_two_exponents(capsys):
     assert "two distinct exponents" in err
 
 
+def test_cross_checks_every_exponent_before_building_a_prefix(capsys, monkeypatch):
+    # exponents are searched in ascending order, so a bad last one must
+    # be refused before the first one's prefix is built
+    import primesums.duplicates as duplicates
+
+    def refused(x, k):
+        raise AssertionError("a prefix was built before every exponent was checked")
+
+    monkeypatch.setattr(duplicates, "_search_prefix", refused)
+    code, out, err = run_cli(capsys, "cross", "--ks", "2,70", "--x", "1e16")
+    assert (code, out) == (1, "")
+    assert err == "usage error: power k must be in 2..64, got 70\n"
+    with pytest.raises(ValueError, match=r"^power k must be in 2\.\.64, got 70$"):
+        duplicates.find_cross_power_duplicates(10 ** 14, {2, 70})
+
+
+COMMAND_HELP = {
+    "enumerate": "stream one line per representation: n, start prime",
+    "count": "one summary line: x, k, count, max run length, primes",
+    "table": "decade rows from --from to --to: x, count, upper, lower",
+    "bounds": "raw bound formulas at one point: constant, main terms",
+    "duplicates": "values with several runs for one exponent, expanded",
+    "cross": "values representable under several exponents, expanded",
+}
+
+
+def test_missing_command_is_a_usage_error(capsys):
+    assert run_cli(capsys) == (1, "", "usage error: the following arguments are required: command\n")
+
+
+def test_unknown_command_names_every_command(capsys):
+    code, out, err = run_cli(capsys, "bogus")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: argument command: invalid choice: 'bogus'")
+    choices = err.partition("(choose from ")[2]
+    assert all(name in choices for name in COMMAND_HELP)
+
+
+@pytest.mark.parametrize("argv", [[], *([name] for name in COMMAND_HELP)],
+                         ids=["top", *COMMAND_HELP])
+def test_help_exits_zero(capsys, monkeypatch, argv):
+    # argparse wraps its help to the terminal's width
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    if argv:
+        assert out.startswith(f"usage: primesums {argv[0]} [-h]")
+        assert "--out PATH" in out
+    else:
+        # every command with its help line, however argparse wraps them
+        words = " ".join(out.split())
+        for name, help_text in COMMAND_HELP.items():
+            assert f" {name} {help_text} " in f" {words} "
+
+
 def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys, "count", "--k", "1", "--x", "10")[0] == 1
     assert run_cli(capsys, "count", "--k", "2", "--x", "abc")[0] == 1
@@ -222,7 +279,7 @@ def test_bare_memory_error_gets_a_message(capsys, monkeypatch):
     def exhausted(args, sink):
         raise MemoryError()
 
-    monkeypatch.setitem(cli._COMMANDS, "count", exhausted)
+    monkeypatch.setattr(cli, "_run_count", exhausted)
     code, out, err = run_cli(capsys, "count", "--k", "2", "--x", "100")
     assert code == 2
     assert out == ""
@@ -283,7 +340,7 @@ def test_interrupted_run_leaves_no_partial_out_file(monkeypatch, tmp_path):
         sink.write("4\t2\n")
         raise KeyboardInterrupt
 
-    monkeypatch.setitem(cli._COMMANDS, "enumerate", interrupted)
+    monkeypatch.setattr(cli, "_run_enumerate", interrupted)
     target = tmp_path / "out.tsv"
     with pytest.raises(KeyboardInterrupt):
         main(["enumerate", "--k", "2", "--x", "100", "--out", str(target)])
@@ -307,7 +364,7 @@ def test_failed_run_keeps_symlinked_out(capsys, monkeypatch, tmp_path):
     def broken_pipe(args, sink):
         raise BrokenPipeError
 
-    monkeypatch.setitem(cli._COMMANDS, "enumerate", broken_pipe)
+    monkeypatch.setattr(cli, "_run_enumerate", broken_pipe)
     link = tmp_path / "out.tsv"
     link.symlink_to("/dev/null")
     assert main(["enumerate", "--k", "2", "--x", "100", "--out", str(link)]) == 0
