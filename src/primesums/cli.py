@@ -11,6 +11,13 @@ Each command imports what it runs beyond the counting core: table and
 bounds load the bound formulas (and decimal) when they start, and
 duplicates, cross and count --distinct load the duplicate search (and
 numpy), so enumerate and plain count load neither.
+
+The hunt commands own no search: duplicates and cross call the
+library's one entry, duplicates._hunt, which checks every exponent,
+builds the prefix arrays and finds the groups, and print each group's
+runs from the arrays it returns; count --distinct calls
+count_with_distinct.  The CLI adds only its own refusal of --ks with
+fewer than two distinct exponents.
 """
 
 import argparse
@@ -37,23 +44,24 @@ def parse_x(text: str) -> int:
     """Exact integer from decimal digits or <mantissa>e<exponent> form.
 
     "1e38" means the exact integer 10^38; no float round-trip happens
-    anywhere, so inputs beyond double precision stay exact.  An exponent
-    form past 4300 digits, Python's default limit for printing an int,
-    is refused before 10^exponent is computed, which alone takes seconds
-    at an exponent of 10^7.
+    anywhere, so inputs beyond double precision stay exact.  A number
+    past 4300 digits, Python's default limit for converting an int to
+    or from a string, is refused before int() sees it, and an exponent
+    form before 10^exponent is computed, which alone takes seconds at an
+    exponent of 10^7.  Digits are those int() reads (str.isdecimal),
+    which leaves out superscripts.
     """
     s = text.strip().lower()
     mantissa, sep, exponent = s.partition("e")
-    if sep:
-        if mantissa == "":
-            mantissa = "1"
-        if mantissa.isdigit() and exponent.isdigit():
-            m, e = int(mantissa), int(exponent)
-            if len(str(m)) + e > 4300:
-                raise UsageError(f"cannot parse {text!r}: more than 4300 digits")
-            return m * 10 ** e
-    elif s.isdigit():
-        return int(s)
+    if not sep:
+        exponent = "0"
+    elif mantissa == "":
+        mantissa = "1"
+    if mantissa.isdecimal() and exponent.isdecimal():
+        # int() itself refuses a string of more than 4300 digits
+        if max(len(mantissa), len(exponent)) > 4300 or len(str(int(mantissa))) + int(exponent) > 4300:
+            raise UsageError(f"cannot parse {text!r}: more than 4300 digits")
+        return int(mantissa) * 10 ** int(exponent)
     raise UsageError(f"cannot parse {text!r}: expected digits or <int>e<int>")
 
 
@@ -71,9 +79,9 @@ def _positive_int(text: str) -> int:
 
 def _parse_ks(text: str) -> tuple:
     parts = [piece.strip() for piece in text.split(",")]
-    if not all(piece.isdigit() for piece in parts):
+    if not all(piece.isdecimal() for piece in parts):
         raise UsageError(f"expected a comma-separated exponent list, got {text!r}")
-    return tuple(int(piece) for piece in parts)
+    return tuple(map(parse_x, parts))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -156,10 +164,9 @@ def _run_enumerate(args: argparse.Namespace, sink) -> None:
 
 def _run_count(args: argparse.Namespace, sink) -> None:
     if args.distinct:
-        from .duplicates import _search_prefix, count_with_distinct
+        from .duplicates import count_with_distinct
 
-        # the duplicate scan needs the prefix array, so count on it too
-        report, distinct = count_with_distinct(_search_prefix(args.x, args.k))
+        report, distinct = count_with_distinct(args.x, args.k)
         names = [*report._fields, "distinct"]
         values = [*report, distinct]
     else:
@@ -204,39 +211,28 @@ def _run_bounds(args: argparse.Namespace, sink) -> None:
     sink.write(sep.join(str(v) for v in values) + "\n")
 
 
-def _expanded_sum(member, primes) -> str:
-    run = primes[member.start_index : member.start_index + member.length]
-    return " + ".join(f"{p}^{member.k}" for p in run)
+def _write_hunt(x: int, ks: list, sink) -> None:
+    """One line per group of the library's hunt: n = first expansion = second = ..."""
+    from .duplicates import _hunt
 
-
-def _write_groups(groups, ps_by_k, sink) -> None:
-    # one line per group: n = first expansion = second expansion = ...
+    ps_by_k, groups = _hunt(x, ks)
     for group in groups:
         parts = [str(group.n)]
-        for member in group.members:
-            parts.append(_expanded_sum(member, ps_by_k[member.k].primes))
+        for run in group.members:
+            primes = ps_by_k[run.k].primes[run.start_index : run.start_index + run.length]
+            parts.append(" + ".join(f"{p}^{run.k}" for p in primes))
         sink.write(" = ".join(parts) + "\n")
 
 
 def _run_duplicates(args: argparse.Namespace, sink) -> None:
-    from .duplicates import _search_prefix, find_duplicates_from_prefix
-
-    ps = _search_prefix(args.x, args.k)
-    groups = find_duplicates_from_prefix(ps)
-    _write_groups(groups, {args.k: ps}, sink)
+    _write_hunt(args.x, [args.k], sink)
 
 
 def _run_cross(args: argparse.Namespace, sink) -> None:
-    from .duplicates import _search_prefix, find_cross_power_duplicates_from_prefixes
-
     ks = sorted(set(args.ks))
     if len(ks) < 2:
         raise UsageError(f"--ks needs at least two distinct exponents, got {args.ks}")
-    for k in ks:  # every k, x and budget refused before a prefix is built
-        sieve_limit(args.x, k)
-    ps_by_k = {k: _search_prefix(args.x, k) for k in ks}
-    groups = find_cross_power_duplicates_from_prefixes(ps_by_k)
-    _write_groups(groups, ps_by_k, sink)
+    _write_hunt(args.x, ks, sink)
 
 
 def run(args: argparse.Namespace) -> int:

@@ -12,9 +12,14 @@ neighbours finds every key that repeats.  A second neighbour mask over
 those keeps each once: the keys are sorted already, and np.unique
 would sort them again and load numpy.ma.
 
-Below x = 2^63 the searches by x (find_duplicates,
-find_cross_power_duplicates, distinct_count and the CLI's duplicates,
-cross and count --distinct) take their keys straight from the sieve's
+Every search for groups by x goes through _hunt: find_duplicates,
+find_cross_power_duplicates and the CLI's duplicates and cross call it,
+and it checks every exponent's sieve limit before the first prefix is
+built, builds one per exponent, and returns them with the groups, from
+which the CLI prints its expanded sums.  count_with_distinct, behind
+distinct_count and count --distinct, builds its one prefix itself.
+
+Below x = 2^63 the searches by x take their keys straight from the sieve's
 blocks: _search_prefix makes the primes as one uint64 array('Q'), from
 numpy's indices of each block's flags, and g as their wrapping running
 sum in a second one, which it holds as f.  A bisection reads a window
@@ -335,11 +340,27 @@ def _duplicate_groups(ps_by_k: dict, counts_by_k: dict, max_in_memory: int) -> l
     return groups
 
 
+def _hunt(x: int, ks: list, max_in_memory: int = DEFAULT_MAX_IN_MEMORY) -> tuple:
+    """(ps_by_k, groups): the prefix sums and the groups of the search up to x.
+
+    ks are distinct exponents, ascending.  Every k, x and budget is
+    refused before the first prefix is built.  One exponent finds its
+    duplicates, several their cross-power groups; the finders are looked
+    up by name, so a wrapper set on this module sees every search.
+    """
+    for k in ks:
+        sieve_limit(x, k)
+    ps_by_k = {k: _search_prefix(x, k) for k in ks}
+    if len(ks) > 1:
+        return ps_by_k, find_cross_power_duplicates_from_prefixes(ps_by_k, max_in_memory)
+    return ps_by_k, find_duplicates_from_prefix(ps_by_k[ks[0]], max_in_memory)
+
+
 def find_duplicates(
     x: int, k: int, max_in_memory: int = DEFAULT_MAX_IN_MEMORY
 ) -> list:
     """All n <= x with at least two runs for this k, ascending by n."""
-    return find_duplicates_from_prefix(_search_prefix(x, k), max_in_memory)
+    return _hunt(x, [k], max_in_memory)[1]
 
 
 def find_duplicates_from_prefix(
@@ -362,26 +383,23 @@ def find_cross_power_duplicates(
     """All n <= x representable under two or more distinct exponents.
 
     Values duplicated only within a single exponent are excluded; those
-    belong to find_duplicates.  spill_dir is accepted and ignored, as
-    nothing is written to disk; it stays only because the benchmark's
-    cross-capped job (perfbench/child.py) still passes it by keyword.
+    belong to find_duplicates.  The search is _hunt's, as for the CLI's
+    cross.  spill_dir is accepted and ignored, as nothing is written to
+    disk; it stays only because the benchmark's cross-capped job
+    (perfbench/child.py) still passes it by keyword.
     """
     ks = sorted(set(k_set))
     if len(ks) < 2:
         raise ValueError(f"cross-power search needs >= 2 distinct exponents, got {ks}")
-    for k in ks:  # every k, x and budget refused before a prefix is built
-        sieve_limit(x, k)
-    ps_by_k = {k: _search_prefix(x, k) for k in ks}
-    return find_cross_power_duplicates_from_prefixes(ps_by_k, max_in_memory)
+    return _hunt(x, ks, max_in_memory)[1]
 
 
 def find_cross_power_duplicates_from_prefixes(
     ps_by_k: dict, max_in_memory: int = DEFAULT_MAX_IN_MEMORY
 ) -> list:
     """Cross-power groups of several prefix arrays."""
-    ks = sorted(ps_by_k)
-    if len(ks) < 2:
-        raise ValueError(f"cross-power search needs >= 2 distinct exponents, got {ks}")
+    if len(ps_by_k) < 2:
+        raise ValueError(f"cross-power search needs >= 2 distinct exponents, got {sorted(ps_by_k)}")
     counts_by_k = {k: starts_by_length(ps) for k, ps in ps_by_k.items()}
     return _duplicate_groups(ps_by_k, counts_by_k, max_in_memory)
 
@@ -392,15 +410,17 @@ def duplicate_surplus(groups: list) -> int:
 
 
 def count_with_distinct(
-    ps: PowerPrefixSums, max_in_memory: int = DEFAULT_MAX_IN_MEMORY
+    x: int, k: int, max_in_memory: int = DEFAULT_MAX_IN_MEMORY
 ) -> tuple:
-    """The CountReport of ps and its number of distinct n <= x.
+    """The CountReport up to x and its number of distinct n <= x.
 
-    The count and the duplicate search read one starts_by_length.
+    The count and the duplicate search read one prefix array and one
+    starts_by_length.
     """
+    ps = _search_prefix(x, k)
     counts = starts_by_length(ps)
     report = report_of(ps, counts)
-    groups = _duplicate_groups({ps.k: ps}, {ps.k: counts}, max_in_memory)
+    groups = _duplicate_groups({k: ps}, {k: counts}, max_in_memory)
     return report, report.count - duplicate_surplus(groups)
 
 
@@ -408,4 +428,4 @@ def distinct_count(
     x: int, k: int, max_in_memory: int = DEFAULT_MAX_IN_MEMORY
 ) -> int:
     """Number of distinct representable n <= x (count minus surplus)."""
-    return count_with_distinct(_search_prefix(x, k), max_in_memory)[1]
+    return count_with_distinct(x, k, max_in_memory)[1]

@@ -7,6 +7,8 @@ import pytest
 from golden import BOUNDS_CSV_HEADER, BOUNDS_CSV_ROWS, COUNT_TABLES, direct_sums
 from primesums import cli, sieve
 from primesums.cli import main, parse_x
+from primesums.counting import count_up_to
+from primesums.duplicates import distinct_count, find_cross_power_duplicates, find_duplicates
 
 
 def run_cli(capsys, *argv):
@@ -161,6 +163,51 @@ def test_cross_expanded_sums(capsys):
     assert line.endswith("= 17^3 + 19^3 + 23^3")
 
 
+def check_hunt_lines(out, groups):
+    # each line is n = one expansion per member, p^k terms of consecutive primes
+    lines = out.splitlines()
+    assert len(lines) == len(groups)
+    for line, group in zip(lines, groups):
+        n, *expansions = line.split(" = ")
+        assert int(n) == group.n
+        assert len(expansions) == len(group.members)
+        for expansion, member in zip(expansions, group.members):
+            terms = [term.split("^") for term in expansion.split(" + ")]
+            primes = [int(p) for p, _ in terms]
+            assert {int(k) for _, k in terms} == {member.k}
+            assert (primes[0], len(primes)) == (member.start_prime, member.length)
+            known = sieve.primes_up_to(primes[-1])
+            start = known.index(primes[0])
+            assert primes == known[start : start + len(primes)]
+            assert sum(p ** member.k for p in primes) == group.n
+
+
+@pytest.mark.parametrize("argv, search, size", [
+    (["duplicates", "--k", "2", "--x", "1e8"], lambda: find_duplicates(10 ** 8, 2), 5),
+    (["cross", "--ks", "3,4", "--x", "1e16"],
+     lambda: find_cross_power_duplicates(10 ** 16, {3, 4}), 1),
+    # 2^63, where the hunt reads build's lists in place of uint64 arrays
+    (["cross", "--ks", "3,4", "--x", str(2 ** 63)],
+     lambda: find_cross_power_duplicates(2 ** 63, {3, 4}), 1),
+], ids=["squares-1e8", "cross-3-4-1e16", "cross-3-4-2^63"])
+def test_hunt_lines_are_the_library_groups(capsys, argv, search, size):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    groups = search()
+    assert len(groups) == size
+    check_hunt_lines(out, groups)
+    if argv[0] == "cross":
+        assert [g.n for g in groups] == [5187440176]
+
+
+def test_count_distinct_line_is_the_library_count(capsys):
+    # 10^30 lies past 2^63, so the count and search read build's lists
+    code, out, err = run_cli(capsys, "count", "--k", "8", "--x", "1e30", "--distinct")
+    assert (code, err) == (0, "")
+    values = [*count_up_to(10 ** 30, 8), distinct_count(10 ** 30, 8)]
+    assert out == "\t".join(map(str, values)) + "\n"
+
+
 def test_cross_requires_two_exponents(capsys):
     code, _, err = run_cli(capsys, "cross", "--ks", "2", "--x", "1e5")
     assert code == 1
@@ -249,6 +296,32 @@ def test_flag_type_errors_print_their_own_text(capsys):
     code, out, err = run_cli(capsys, "cross", "--ks", "a,2", "--x", "10")
     assert (code, out) == (1, "")
     assert err == "usage error: argument --ks: expected a comma-separated exponent list, got 'a,2'\n"
+
+
+LONG = "1" * 4301  # one digit past what int() reads from a string
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["count", "--k", "2", "--x", "\u00b2"],
+     "argument --x: cannot parse '\u00b2': expected digits or <int>e<int>"),
+    (["count", "--k", "2", "--x", "1e\u00b2"],
+     "argument --x: cannot parse '1e\u00b2': expected digits or <int>e<int>"),
+    (["cross", "--ks", "2,\u00b3", "--x", "10"],
+     "argument --ks: expected a comma-separated exponent list, got '2,\u00b3'"),
+    (["count", "--k", "2", "--x", LONG],
+     f"argument --x: cannot parse '{LONG}': more than 4300 digits"),
+    (["count", "--k", "2", "--x", LONG + "e1"],
+     f"argument --x: cannot parse '{LONG}e1': more than 4300 digits"),
+    (["count", "--k", "2", "--x", "1e" + LONG],
+     f"argument --x: cannot parse '1e{LONG}': more than 4300 digits"),
+    (["cross", "--ks", f"2,{LONG}", "--x", "10"],
+     f"argument --ks: cannot parse '{LONG}': more than 4300 digits"),
+], ids=["superscript-x", "superscript-exponent", "superscript-ks", "long-x", "long-mantissa",
+        "long-exponent", "long-ks"])
+def test_number_parsers_refuse_what_int_cannot_read(capsys, argv, err):
+    # str.isdigit passes superscripts and int() reads at most 4300
+    # digits; each is refused in the parser's own words
+    assert run_cli(capsys, *argv) == (1, "", f"usage error: {err}\n")
 
 
 def test_resource_errors_exit_two(capsys):
