@@ -2,16 +2,30 @@
 
 All formulas use the natural logarithm; that is the base under which
 the floored main terms reproduce the reference count tables digit for
-digit.  Evaluation runs in the standard library's decimal module, whose
-ln and exp are correctly rounded, at 40 significant digits so that a
-128-bit x loses nothing on conversion; any value within 1e-9 of an
-integer is re-evaluated at 120 digits before flooring, so a floor never
-lands on the wrong side through rounding.
+digit.  Each formula is written once and evaluated in one of two
+arithmetics, passed as an _Ops: float, or the standard library's
+decimal module, whose ln and exp are correctly rounded.
+
+The raw values (upper_bound, lower_bound, m_estimate, tws_upper_s2,
+c_constant, bound_estimate) are evaluated in decimal at 40 significant
+digits, so that a 128-bit x loses nothing on conversion.  A floor is
+decided in float.  math.log and math.exp are off by an ulp or so,
+which the exponent, at most about 60, turns into a relative error of
+about 1e-14 at worst (measured on a grid of k = 2..64 and x up to
+2^128 - 1).  So the float value v lies within a relative
+FLOAT_REL_ERROR = 1e-12 of the true one, and when v(1 - 1e-12) and
+v(1 + 1e-12) have the same floor, that floor is the true one.  When that
+interval holds an integer, as it does near an integer and for every
+value from about 5 * 10^11 on, where it is wider than 1, the floor
+comes from a 120-digit decimal evaluation.  decimal is imported by the
+first evaluation that needs it, so a table whose floors the float
+decides never loads it.
 """
 
-from decimal import ROUND_FLOOR, Context, Decimal, getcontext, localcontext
+from contextlib import contextmanager
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from math import exp, floor, log
+from typing import Callable, NamedTuple, Optional
 
 from .arith import check_uint128, integer_kth_root
 from .prefix import check_power
@@ -19,7 +33,7 @@ from .sieve import prime_count
 
 WORK_DPS = 40
 GUARD_DPS = 120
-NEAR_INTEGER = 1e-9
+FLOAT_REL_ERROR = 1e-12
 
 
 class BoundEstimate(NamedTuple):
@@ -30,6 +44,18 @@ class BoundEstimate(NamedTuple):
     c_k: float
     m_estimate: float  # estimated maximum run length
     tws_upper: Optional[float]  # explicit square-sum bound, k = 2 only
+
+
+class _Ops(NamedTuple):
+    """One arithmetic: its number type, ln and exp, and its digits (None for float)."""
+
+    num: Callable
+    ln: Callable
+    exp: Callable
+    prec: Optional[int]
+
+
+_FLOAT = _Ops(float, log, exp, None)
 
 
 def _check_x(x: int) -> int:
@@ -44,56 +70,58 @@ def _check_xk(x: int, k: int) -> None:
     _check_x(x)
 
 
+@contextmanager
 def _digits(prec: int):
-    # a fresh context: the caller's decimal settings never leak in
-    return localcontext(Context(prec=prec))
+    """Decimal arithmetic at prec digits, as an _Ops.
+
+    A fresh context: the caller's decimal settings never leak in.
+    """
+    import decimal
+
+    with decimal.localcontext(decimal.Context(prec=prec)):
+        yield _Ops(decimal.Decimal, decimal.Decimal.ln, decimal.Decimal.exp, prec)
 
 
-def _power_ratio(scale: Decimal, x: int, a: int, b: int, d: int) -> Decimal:
+def _power_ratio(ops: _Ops, scale, x: int, a: int, b: int, d: int):
     """scale * x^(a/d) / (ln x)^(b/d), as scale * exp((a ln x - b ln ln x) / d)."""
-    log_x = Decimal(x).ln()
-    return scale * ((a * log_x - b * log_x.ln()) / d).exp()
-
-
-def _c(k: int) -> Decimal:
-    return _c_at(k, getcontext().prec)
+    log_x = ops.ln(ops.num(x))
+    return scale * ops.exp((a * log_x - b * ops.ln(log_x)) / d)
 
 
 @lru_cache(maxsize=None)
-def _c_at(k: int, prec: int) -> Decimal:
-    # keyed on the precision too: the guard digits must not reuse a
-    # value rounded to the working digits
-    with localcontext(Context(prec=prec)):
-        return Decimal(k * k) / (k - 1) * ((1 - Decimal(1) / k) * Decimal(k + 1).ln()).exp()
+def _c(ops: _Ops, k: int):
+    # keyed on ops, whose prec sets it apart: the guard digits must not
+    # reuse a value rounded to the working digits
+    return ops.num(k * k) / (k - 1) * ops.exp((1 - ops.num(1) / k) * ops.ln(ops.num(k + 1)))
 
 
-def _upper(x: int, k: int) -> Decimal:
-    return _power_ratio(_c(k), x, 2, 2 * k, k + 1)
+def _upper(ops: _Ops, x: int, k: int):
+    return _power_ratio(ops, _c(ops, k), x, 2, 2 * k, k + 1)
 
 
-def _lower(x: int, k: int) -> Decimal:
-    return _power_ratio(Decimal((k + 1) ** 2) / 2, x, 2, 2 * k, k + 1)
+def _lower(ops: _Ops, x: int, k: int):
+    return _power_ratio(ops, ops.num((k + 1) ** 2) / 2, x, 2, 2 * k, k + 1)
 
 
-def _m_estimate(x: int, k: int) -> Decimal:
-    return _power_ratio(Decimal(k + 1), x, 1, k, k + 1)
+def _m_estimate(ops: _Ops, x: int, k: int):
+    return _power_ratio(ops, ops.num(k + 1), x, 1, k, k + 1)
 
 
-def _tws(x: int) -> Decimal:
-    return _power_ratio(Decimal("28.4201"), x, 2, 4, 3)
+def _tws(ops: _Ops, x: int):
+    return _power_ratio(ops, ops.num("28.4201"), x, 2, 4, 3)
 
 
 def c_constant(k: int) -> float:
     """(k^2/(k-1)) * (k+1)^(1 - 1/k); the pole at k = 1 is rejected."""
     check_power(k)
-    with _digits(WORK_DPS):
-        return float(_c(k))
+    with _digits(WORK_DPS) as ops:
+        return float(_c(ops, k))
 
 
 def _evaluated(formula, x: int, k: int) -> float:
     _check_xk(x, k)
-    with _digits(WORK_DPS):
-        return float(formula(x, k))
+    with _digits(WORK_DPS) as ops:
+        return float(formula(ops, x, k))
 
 
 def upper_bound(x: int, k: int) -> float:
@@ -114,18 +142,19 @@ def m_estimate(x: int, k: int) -> float:
 def tws_upper_s2(x: int) -> float:
     """Explicit bound 28.4201 * x^(2/3) / (ln x)^(4/3) for square sums."""
     _check_x(x)
-    with _digits(WORK_DPS):
-        return float(_tws(x))
+    with _digits(WORK_DPS) as ops:
+        return float(_tws(ops, x))
 
 
 def _floored(formula, x: int, k: int) -> int:
+    """floor(formula), from its float value unless an integer lies within its error."""
     _check_xk(x, k)
-    with _digits(WORK_DPS):
-        value = formula(x, k)
-        if abs(value - value.to_integral_value()) < NEAR_INTEGER:
-            with _digits(GUARD_DPS):
-                value = formula(x, k)
-        return int(value.to_integral_value(rounding=ROUND_FLOOR))
+    value = formula(_FLOAT, x, k)
+    low = floor(value * (1 - FLOAT_REL_ERROR))
+    if low == floor(value * (1 + FLOAT_REL_ERROR)):
+        return low
+    with _digits(GUARD_DPS) as ops:
+        return floor(formula(ops, x, k))
 
 
 def floor_upper_bound(x: int, k: int) -> int:
@@ -155,13 +184,13 @@ def per_length_bound(x: int, k: int, m: int) -> int:
 def bound_estimate(x: int, k: int) -> BoundEstimate:
     """Every real-valued bound for (x, k) in one bundle."""
     _check_xk(x, k)
-    with _digits(WORK_DPS):
+    with _digits(WORK_DPS) as ops:
         return BoundEstimate(
             x=x,
             k=k,
-            upper=float(_upper(x, k)),
-            lower=float(_lower(x, k)),
-            c_k=float(_c(k)),
-            m_estimate=float(_m_estimate(x, k)),
-            tws_upper=float(_tws(x)) if k == 2 else None,
+            upper=float(_upper(ops, x, k)),
+            lower=float(_lower(ops, x, k)),
+            c_k=float(_c(ops, k)),
+            m_estimate=float(_m_estimate(ops, x, k)),
+            tws_upper=float(_tws(ops, x)) if k == 2 else None,
         )

@@ -8,9 +8,12 @@ status is 0 on success, 1 on usage errors, 2 on overflow or resource
 exhaustion.
 
 Each command imports what it runs beyond the counting core: table and
-bounds load the bound formulas (and decimal) when they start, and
-duplicates, cross and count --distinct load the duplicate search (and
-numpy), so enumerate and plain count load neither.
+bounds load the bound formulas when they start, and duplicates, cross
+and count --distinct load the duplicate search (and numpy), so
+enumerate and plain count load neither.  decimal loads only on demand:
+bounds needs it, and table only for a floor that float arithmetic
+leaves undecided.  table flushes each row as it is counted, so a row
+reaches a pipe before the next is done.
 
 The hunt commands own no search: duplicates and cross call the
 library's one entry, duplicates._hunt, which checks every exponent,
@@ -196,6 +199,7 @@ def _run_table(args: argparse.Namespace, sink) -> None:
         upper = floor_upper_bound(x, args.k)
         row = (x, report.count, upper, floor_lower_bound(x, args.k))
         sink.write(sep.join(str(v) for v in row) + "\n")
+        sink.flush()
 
 
 def _run_bounds(args: argparse.Namespace, sink) -> None:
@@ -265,6 +269,23 @@ def _is_plain_file(path: str, sink) -> bool:
     return stat.S_ISREG(st.st_mode) and os.path.samestat(st, os.fstat(sink.fileno()))
 
 
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at /dev/null.
+
+    After a broken pipe stdout still holds what it could not write, and
+    the interpreter flushes it again at exit, which would print
+    "Exception ignored" and exit 120.  A stdout with no descriptor, such
+    as a test's capture, is left as it is.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError):  # no stdout, io.UnsupportedOperation, or closed
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     # the duplicate kernel never uses the worker threads numpy's OpenBLAS starts
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -274,6 +295,7 @@ def main(argv=None) -> int:
         return run(args)
     except BrokenPipeError:
         # downstream closed the pipe (enumerate | head is normal use)
+        _discard_stdout()
         return 0
     except ValueError as err:  # UsageError included
         print(f"usage error: {err}", file=sys.stderr)

@@ -32,7 +32,8 @@ code: f is read only through prefix.window_sum, which adds back the
 
 The search runs one class of run lengths per pass.  Let M_k be the
 largest M whose Carmichael function divides k (24 for k = 2, 240 for
-k = 4, 2 for odd k) and G the gcd of M_k over the exponents searched.
+k = 4, 2 for odd k) and G the M_k of the leading exponent, the one
+with the most keys (the only one, in a search of one exponent).
 Then p^k = 1 (mod G) for every p prime to G, so a run of such powers
 with m terms has n = m (mod G), and equal sums have lengths in one
 class mod G.  The index e is one past the last power that is not
@@ -40,8 +41,15 @@ class mod G.  The index e is one past the last power that is not
 whose 4 and 9 share a factor with 24.  Class r holds the starts from e
 on of every block (k, m) with m = r (mod G), and the few windows that
 start before e and have n = r (mod G); those are one small chunk of
-the class's keys, matched on their exact sums.  A pass sorts about
-keys/G keys, and runs with equal sums share a class.
+the class's keys, matched on their exact sums.  Any other exponent k'
+of a cross search works mod g = gcd(G, M_k'), which divides M_k': its
+e is read mod g, its windows before e join the class of their exact
+sum, and its blocks from e on join each of the G/g classes r = m
+(mod g), among which lies the class of every sum they hold.  So a
+pass sorts about keys/G keys of the leading exponent and keys/g of
+each other, all runs of one sum share a class, and a run that G/g
+passes hold is kept once.  A cross search of squares and cubes sorts
+24 classes, each with half the cubes' few keys.
 
 One rule cuts a class to the in-memory cap.  A piece with more keys
 than the cap, the whole class first, is cut into value slices,
@@ -236,19 +244,26 @@ def _keys(ps: PowerPrefixSums, modulus: int) -> tuple:
 
 
 def _passes(ps_by_k: dict, counts_by_k: dict, max_in_memory: int, keys_of: dict):
-    """(r, parts, windows) per pass, all of whose sums are r mod G.
+    """(r, parts, windows) per pass of class r, which holds every run whose sum is r mod G.
 
-    parts are ranges (k, m, lo, hi) of starts, windows are (n, k, b, m)
-    with b before e.  Before the first pass, keys_of[k] is set to the
-    keys of each exponent, from _keys.
+    G is M_k of the leading exponent, the one with the most keys.  parts
+    are ranges (k, m, lo, hi) of starts, windows are (n, k, b, m) with b
+    before e.  Another exponent's parts join each class r = m (mod
+    gcd(G, M_k)), so a pass may also hold its runs of other sums.  A
+    class past the cap is cut by value, so the runs of one sum still
+    share a pass.  Before the first pass, keys_of[k] is set to the keys
+    of each exponent, from _keys.
     """
-    modulus = gcd(*map(_power_modulus, ps_by_k))
+    lead = max(ps_by_k, key=lambda k: sum(counts_by_k[k]))
+    modulus = _power_modulus(lead)
     classes = {}
     for k, ps in ps_by_k.items():
-        keys_of[k], e = _keys(ps, modulus)
+        step = gcd(modulus, _power_modulus(k))
+        keys_of[k], e = _keys(ps, step)
         for m, reach in enumerate(counts_by_k[k], 1):
             if e < reach:
-                classes.setdefault(m % modulus, ([], []))[0].append((k, m, e, reach))
+                for r in range(m % step, modulus, step):
+                    classes.setdefault(r, ([], []))[0].append((k, m, e, reach))
             window = window_sum(ps.f, m)
             for b in range(min(e, reach)):
                 n = window(b)
@@ -323,14 +338,16 @@ def _duplicate_groups(ps_by_k: dict, counts_by_k: dict, max_in_memory: int) -> l
         repeated = _repeated_keys(keys_of, parts, windows)
         if not len(repeated):
             continue
+        # a run of an exponent other than the leading one may be found
+        # in several passes, and is kept once
         for k, m, lo, hi in parts:
             window = window_sum(ps_by_k[k].f, m)
             for b in _hits(window, keys_of[k], m, lo, hi, repeated):
-                rows_by_n.setdefault(window(b), []).append((k, b, m))
+                rows_by_n.setdefault(window(b), set()).add((k, b, m))
         shared = set(repeated.tolist())
         for n, k, b, m in windows:
             if n % _WRAP in shared:
-                rows_by_n.setdefault(n, []).append((k, b, m))
+                rows_by_n.setdefault(n, set()).add((k, b, m))
     groups = []
     for n in sorted(rows_by_n):
         rows = rows_by_n[n]

@@ -1,5 +1,5 @@
 import math
-from decimal import Context, Decimal, localcontext
+from decimal import Decimal
 
 import pytest
 
@@ -58,9 +58,9 @@ def test_floor_examples():
 
 
 def test_guard_precision_keeps_every_table_floor(monkeypatch):
-    # no table cell lies within 1e-9 of an integer, so widen the guard
-    # until every floor takes the 120-digit re-evaluation
-    monkeypatch.setattr(bounds, "NEAR_INTEGER", 1)
+    # the float decides every table cell, so widen its error bound
+    # until every floor takes the 120-digit evaluation
+    monkeypatch.setattr(bounds, "FLOAT_REL_ERROR", 1)
     precisions = []
     digits = bounds._digits
 
@@ -78,20 +78,53 @@ def test_guard_precision_keeps_every_table_floor(monkeypatch):
     assert precisions.count(bounds.GUARD_DPS) == cells == 214
 
 
+def test_float_floors_equal_the_guard_floors(monkeypatch):
+    # the float decides every table cell; over a grid of k and x, values
+    # past ~5e11 and those near an integer escalate, and every floor
+    # equals the one taken at 120 digits alone
+    digits = bounds._digits
+
+    def guard_floor(formula, x, k):
+        with digits(bounds.GUARD_DPS) as ops:
+            return math.floor(formula(ops, x, k))
+
+    escalated = []
+
+    def recorded(prec):
+        escalated.append(prec)
+        return digits(prec)
+
+    monkeypatch.setattr(bounds, "_digits", recorded)
+    for k, rows in COUNT_TABLES.items():
+        for x, _, up, lo in rows:
+            assert floor_upper_bound(x, k) == up == guard_floor(bounds._upper, x, k)
+            assert floor_lower_bound(x, k) == lo == guard_floor(bounds._lower, x, k)
+    assert escalated == []
+    xs = sorted({2, 3, 10 ** 38, *(10 ** e + 7 for e in range(1, 39, 3)),
+                 *(2 ** e - 1 for e in range(2, 129, 7))})
+    floors = 0
+    for k in (2, 3, 4, 7, 20, 64):
+        for x in xs:
+            assert floor_upper_bound(x, k) == guard_floor(bounds._upper, x, k), (x, k)
+            assert floor_lower_bound(x, k) == guard_floor(bounds._lower, x, k), (x, k)
+            floors += 2
+    assert 0 < len(escalated) < floors
+
+
 def test_constant_cached_per_precision():
     # c_k is computed once per (k, precision): the 120-digit guard gets
     # its own value, not the 40-digit one
-    with localcontext(Context(prec=bounds.WORK_DPS)):
-        work = bounds._c(3)
-    with localcontext(Context(prec=bounds.GUARD_DPS)):
-        guard = bounds._c(3)
+    with bounds._digits(bounds.WORK_DPS) as ops:
+        work = bounds._c(ops, 3)
+    with bounds._digits(bounds.GUARD_DPS) as ops:
+        guard = bounds._c(ops, 3)
     assert len(work.as_tuple().digits) <= bounds.WORK_DPS < len(guard.as_tuple().digits)
     assert abs(guard - work) < Decimal("1e-38")
-    with localcontext(Context(prec=bounds.WORK_DPS)):
-        assert bounds._c(3) is work
-    before = bounds._c_at.cache_info()
-    floor_upper_bound(10 ** 15, 3)
-    after = bounds._c_at.cache_info()
+    with bounds._digits(bounds.WORK_DPS) as ops:
+        assert bounds._c(ops, 3) is work
+    before = bounds._c.cache_info()
+    upper_bound(10 ** 15, 3)
+    after = bounds._c.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 

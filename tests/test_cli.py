@@ -1,4 +1,5 @@
 import io
+import os
 import subprocess
 import sys
 
@@ -468,6 +469,25 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1000\t3\t10\t4\t4\n"
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["table", "--k", "2", "--from", "1e3", "--to", "1e15"], b"1000\t37\t52\t34\n"),
+    (["enumerate", "--k", "2", "--x", "1e9"], b"4\t2\n"),
+], ids=["table", "enumerate"])
+def test_a_reader_that_stops_early_ends_the_run_quietly(argv, line):
+    # table | head -1: each row is flushed as it is made, so the second
+    # meets the closed pipe; what stdout still holds goes to /dev/null,
+    # not to "Exception ignored" and exit 120 at shutdown.  The stream
+    # is block-buffered, as it is by default in a pipe.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "primesums", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), first, err) == (0, line, b"")
 
 
 # prepended to each snippet: in that interpreter, importing anything outside

@@ -10,6 +10,7 @@ from math import gcd
 
 import pytest
 
+from golden import window_sums
 from primesums import duplicates
 from primesums.counting import count_sums, starts_by_length
 from primesums.duplicates import (
@@ -212,6 +213,50 @@ def test_cross_power_witness():
 
 def test_cross_power_empty_below_thousand():
     assert find_cross_power_duplicates(10 ** 3, {2, 3}) == []
+
+
+@pytest.mark.parametrize("squares, cubes, x, runs", [
+    # 7^3 + ... + 24^3 = 30^3 + 31^3 + 32^3 = 38^2 + ... + 68^2 over
+    # consecutive integers (3^3 + 4^3 + 5^3 = 6^3 has no square run);
+    # every run starts before e and lies in the one class of its sum
+    (list(range(1, 69)), list(range(1, 69)), 89559, [(2, 38, 31), (3, 7, 18), (3, 30, 3)]),
+    # 135^3 + 137^3 + ... + 423^3 = 663^3 + 665^3 + ... + 687^3 over the
+    # odd numbers, and 130^2 + ... + 302^2 + 63175^2: the odd cubes' runs
+    # go to each of the 12 classes mod 24 that are their sum mod 2
+    ([*range(1, 303), 63175], list(range(1, 688, 2)), 3999583575,
+     [(2, 130, 174), (3, 135, 145), (3, 663, 13)]),
+], ids=["integers", "odd-cubes"])
+def test_a_value_the_minor_exponent_repeats_is_one_group_with_each_run_once(squares, cubes, x, runs):
+    ps_by_k = {2: build_from_primes(squares, 2, x), 3: build_from_primes(cubes, 3, x)}
+    # the squares lead: they have the most keys
+    assert sum(starts_by_length(ps_by_k[2])) > sum(starts_by_length(ps_by_k[3]))
+    runs_of = {}
+    for k, ps in ps_by_k.items():
+        for n, b, m in window_sums(ps.primes, k, x):
+            runs_of.setdefault(n, []).append((k, b, m))
+    expected = [(n, sorted(rows)) for n, rows in sorted(runs_of.items())
+                if len({k for k, _, _ in rows}) > 1]
+    for cap in (1000, DEFAULT_MAX_IN_MEMORY):
+        groups = find_cross_power_duplicates_from_prefixes(ps_by_k, cap)
+        assert [(g.n, [(m.k, m.start_index, m.length) for m in g.members]) for g in groups] == expected
+        (group,) = [g for g in groups if g.n == x]
+        assert [(m.k, m.start_prime, m.length) for m in group.members] == runs
+
+
+@pytest.mark.parametrize("ks, x, cap, groups", [
+    ({2, 3}, 10 ** 13, 10 ** 6, [(23939, [(2, 23, 11), (3, 17, 3)])]),
+    ({3, 4}, 10 ** 16, 10 ** 5, [(5187440176, [(3, 439, 32), (4, 89, 16)])]),
+    ({8, 10}, 10 ** 30, 100, []),
+    ({6, 8, 10}, 10 ** 30, 10 ** 4, []),
+], ids=["2,3", "3,4", "8,10", "6,8,10"])
+def test_cross_groups_are_the_same_at_every_cap(ks, x, cap, groups):
+    # classed mod the leading exponent's M_k (24, 2, 480 and 504 here),
+    # capped or not, the groups are those found classing mod the gcd of
+    # every exponent's M_k; the cross hunt of {2, 3} at 10^15 is pinned
+    # in CI
+    for max_in_memory in (cap, DEFAULT_MAX_IN_MEMORY):
+        found = find_cross_power_duplicates(x, ks, max_in_memory)
+        assert [(g.n, [(m.k, m.start_prime, m.length) for m in g.members]) for g in found] == groups
 
 
 def test_cross_power_needs_two_exponents():

@@ -293,16 +293,34 @@ def held_windows(ps_by_k, cap):
 
 
 def check_passes(ps_by_k, cap):
-    modulus = gcd(*map(_power_modulus, ps_by_k))
+    counts_by_k = {k: starts_by_length(ps) for k, ps in ps_by_k.items()}
+    modulus = _power_modulus(max(ps_by_k, key=lambda k: sum(counts_by_k[k])))
     held = held_windows(ps_by_k, cap)
     expected = [
         (n, k, b, m) for k, ps in ps_by_k.items() for n, b, m in window_sums(ps.primes, k, ps.x)
     ]
-    # each window lies in exactly one pass, whose class is its sum's
-    assert sorted(row[:4] for row in held) == sorted(expected)
-    assert all(n % modulus == r for n, *_, r in held)
-    pass_of = {}
-    assert all(pass_of.setdefault(n, i) == i for n, *_, i, _ in held)  # equal sums share one
+    step_of = {k: gcd(modulus, _power_modulus(k)) for k in ps_by_k}
+    # one past the last prime that shares a factor with the step
+    e_of = {k: max((i + 1 for i, p in enumerate(ps.primes) if gcd(p, step_of[k]) > 1), default=0)
+            for k, ps in ps_by_k.items()}
+    classes_of = {}
+    for n, k, b, m, _, r in held:
+        classes_of.setdefault((n, k, b, m), []).append(r)
+    assert sorted(classes_of) == sorted(expected)
+    for (n, k, b, m), classes in classes_of.items():
+        # an exponent's windows from its e on lie in one pass of each
+        # class r = n (mod gcd(G, M_k)), which is n mod G alone for the
+        # leading exponent; a window before e lies in one pass, its class
+        if b < e_of[k]:
+            assert classes == [n % modulus]
+        else:
+            assert sorted(classes) == list(range(n % step_of[k], modulus, step_of[k]))
+    runs_by_pass = {}
+    for n, k, b, m, i, _ in held:
+        runs_by_pass.setdefault(n, {}).setdefault(i, set()).add((k, b, m))
+    for n, passes in runs_by_pass.items():
+        # one pass holds every run of each value
+        assert set().union(*passes.values()) in passes.values()
 
 
 caps = st.sampled_from([1, 7, DEFAULT_MAX_IN_MEMORY])
