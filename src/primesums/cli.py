@@ -241,8 +241,13 @@ def _run_cross(args: argparse.Namespace, sink) -> None:
 
 def run(args: argparse.Namespace) -> int:
     if args.out is None:
-        args.runner(args, sys.stdout)
-        sys.stdout.flush()
+        try:
+            args.runner(args, sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # stdout is the broken pipe; a broken --out leaves it alone
+            _discard_stdout()
+            raise
         return 0
     # opened before the try: a file that cannot be opened is not removed
     sink = open(args.out, "w", encoding="ascii")
@@ -295,7 +300,6 @@ def main(argv=None) -> int:
         return run(args)
     except BrokenPipeError:
         # downstream closed the pipe (enumerate | head is normal use)
-        _discard_stdout()
         return 0
     except ValueError as err:  # UsageError included
         print(f"usage error: {err}", file=sys.stderr)

@@ -33,12 +33,13 @@ code: f is read only through prefix.window_sum, which adds back the
 The search runs one class of run lengths per pass.  Let M_k be the
 largest M whose Carmichael function divides k (24 for k = 2, 240 for
 k = 4, 2 for odd k) and G the M_k of the leading exponent, the one
-with the most keys (the only one, in a search of one exponent).
-Then p^k = 1 (mod G) for every p prime to G, so a run of such powers
-with m terms has n = m (mod G), and equal sums have lengths in one
-class mod G.  The index e is one past the last power that is not
-1 (mod G), read from the list itself: 2 for the squares of primes,
-whose 4 and 9 share a factor with 24.  Class r holds the starts from e
+with the most keys (the only one, in a search of one exponent), or
+the gcd of every exponent's M_k, as told below.  Then p^k = 1 (mod G)
+for every p prime to G, so a run of such powers with m terms has
+n = m (mod G), and equal sums have lengths in one class mod G.  The
+index e is one past the last power that is not 1 (mod G), read from
+the list itself: 2 for the squares of primes, whose 4 and 9 share a
+factor with 24.  Class r holds the starts from e
 on of every block (k, m) with m = r (mod G), and the few windows that
 start before e and have n = r (mod G); those are one small chunk of
 the class's keys, matched on their exact sums.  Any other exponent k'
@@ -48,8 +49,13 @@ sum, and its blocks from e on join each of the G/g classes r = m
 (mod g), among which lies the class of every sum they hold.  So a
 pass sorts about keys/G keys of the leading exponent and keys/g of
 each other, all runs of one sum share a class, and a run that G/g
-passes hold is kept once.  A cross search of squares and cubes sorts
-24 classes, each with half the cubes' few keys.
+passes hold is kept once.  Those copies cost keys and passes, so G is
+the leading M_k only while they add at most an eighth to the keys
+sorted, and else the gcd of every M_k, with which nothing is copied:
+a cross search of squares and cubes up to 10^12 or more sorts 24
+classes, each with half the cubes' few keys, while {4, 5}, whose
+fifth powers would be copied 120 times, and {12, 13} or {36, 37},
+with M_k of 65520 and 138181680 over a few dozen keys, sort 2.
 
 One rule cuts a class to the in-memory cap.  A piece with more keys
 than the cap, the whole class first, is cut into value slices,
@@ -243,10 +249,26 @@ def _keys(ps: PowerPrefixSums, modulus: int) -> tuple:
     return keys, int(others[-1]) + 1 if len(others) else 0
 
 
+def _modulus(counts_by_k: dict) -> int:
+    """G: M_k of the leading exponent, the one with the most keys, or the gcd of every M_k.
+
+    The leading exponent's M_k is taken unless copying the other
+    exponents' blocks to its classes, G/gcd(G, M_k) copies each, would
+    add more than an eighth to the keys the passes sort.  A search of
+    one exponent copies nothing.
+    """
+    keys = {k: sum(counts) for k, counts in counts_by_k.items()}
+    modulus = _power_modulus(max(keys, key=keys.get))
+    copied = sum(n * (modulus // gcd(modulus, _power_modulus(k)) - 1) for k, n in keys.items())
+    if 8 * copied > sum(keys.values()):
+        return gcd(*map(_power_modulus, keys))
+    return modulus
+
+
 def _passes(ps_by_k: dict, counts_by_k: dict, max_in_memory: int, keys_of: dict):
     """(r, parts, windows) per pass of class r, which holds every run whose sum is r mod G.
 
-    G is M_k of the leading exponent, the one with the most keys.  parts
+    G is _modulus's, M_k of the leading exponent or the gcd.  parts
     are ranges (k, m, lo, hi) of starts, windows are (n, k, b, m) with b
     before e.  Another exponent's parts join each class r = m (mod
     gcd(G, M_k)), so a pass may also hold its runs of other sums.  A
@@ -254,8 +276,7 @@ def _passes(ps_by_k: dict, counts_by_k: dict, max_in_memory: int, keys_of: dict)
     share a pass.  Before the first pass, keys_of[k] is set to the keys
     of each exponent, from _keys.
     """
-    lead = max(ps_by_k, key=lambda k: sum(counts_by_k[k]))
-    modulus = _power_modulus(lead)
+    modulus = _modulus(counts_by_k)
     classes = {}
     for k, ps in ps_by_k.items():
         step = gcd(modulus, _power_modulus(k))

@@ -439,10 +439,17 @@ def test_failed_run_keeps_symlinked_out(capsys, monkeypatch, tmp_path):
         raise BrokenPipeError
 
     monkeypatch.setattr(cli, "_run_enumerate", broken_pipe)
+    # only a broken stdout is pointed at /dev/null, never a caller's
+    # stdout when the broken pipe was --out
+    discarded = []
+    monkeypatch.setattr(cli, "_discard_stdout", lambda: discarded.append(True))
     link = tmp_path / "out.tsv"
     link.symlink_to("/dev/null")
     assert main(["enumerate", "--k", "2", "--x", "100", "--out", str(link)]) == 0
     assert link.is_symlink()
+    assert discarded == []
+    assert main(["enumerate", "--k", "2", "--x", "100"]) == 0
+    assert discarded == [True]
 
 
 def test_removed_flags_are_usage_errors(capsys, tmp_path):

@@ -14,6 +14,7 @@ from golden import window_sums
 from primesums import duplicates
 from primesums.counting import count_sums, starts_by_length
 from primesums.duplicates import (
+    _modulus,
     _passes,
     _power_modulus,
     _search_prefix,
@@ -221,15 +222,23 @@ def test_cross_power_empty_below_thousand():
     # every run starts before e and lies in the one class of its sum
     (list(range(1, 69)), list(range(1, 69)), 89559, [(2, 38, 31), (3, 7, 18), (3, 30, 3)]),
     # 135^3 + 137^3 + ... + 423^3 = 663^3 + 665^3 + ... + 687^3 over the
-    # odd numbers, and 130^2 + ... + 302^2 + 63175^2: the odd cubes' runs
-    # go to each of the 12 classes mod 24 that are their sum mod 2
+    # odd numbers, and 130^2 + ... + 302^2 + 63175^2
     ([*range(1, 303), 63175], list(range(1, 688, 2)), 3999583575,
      [(2, 130, 174), (3, 135, 145), (3, 663, 13)]),
 ], ids=["integers", "odd-cubes"])
-def test_a_value_the_minor_exponent_repeats_is_one_group_with_each_run_once(squares, cubes, x, runs):
+@pytest.mark.parametrize("modulus", [2, 24], ids=["gcd", "lead"])
+def test_a_value_the_minor_exponent_repeats_is_one_group_with_each_run_once(
+    monkeypatch, squares, cubes, x, runs, modulus
+):
     ps_by_k = {2: build_from_primes(squares, 2, x), 3: build_from_primes(cubes, 3, x)}
-    # the squares lead: they have the most keys
-    assert sum(starts_by_length(ps_by_k[2])) > sum(starts_by_length(ps_by_k[3]))
+    # the squares lead: they have the most keys.  The cubes have too many
+    # for _modulus to copy them, so it classes mod the gcd, 2; classed
+    # mod the squares' 24, the cubes' runs from e on go to each of the 12
+    # classes that are their sum mod 2
+    counts_by_k = {k: starts_by_length(ps) for k, ps in ps_by_k.items()}
+    assert sum(counts_by_k[2]) > sum(counts_by_k[3])
+    assert _modulus(counts_by_k) == 2
+    monkeypatch.setattr(duplicates, "_modulus", lambda counts_by_k: modulus)
     runs_of = {}
     for k, ps in ps_by_k.items():
         for n, b, m in window_sums(ps.primes, k, x):
@@ -250,13 +259,35 @@ def test_a_value_the_minor_exponent_repeats_is_one_group_with_each_run_once(squa
     ({6, 8, 10}, 10 ** 30, 10 ** 4, []),
 ], ids=["2,3", "3,4", "8,10", "6,8,10"])
 def test_cross_groups_are_the_same_at_every_cap(ks, x, cap, groups):
-    # classed mod the leading exponent's M_k (24, 2, 480 and 504 here),
-    # capped or not, the groups are those found classing mod the gcd of
-    # every exponent's M_k; the cross hunt of {2, 3} at 10^15 is pinned
-    # in CI
+    # classed by _modulus (24 for {2, 3}, 8, 10 and 6, 8, 10, 2 for {3,
+    # 4}), capped or not, the groups are those found classing mod the
+    # gcd of every exponent's M_k; the cross hunt of {2, 3} at 10^15 is
+    # pinned in CI
     for max_in_memory in (cap, DEFAULT_MAX_IN_MEMORY):
         found = find_cross_power_duplicates(x, ks, max_in_memory)
         assert [(g.n, [(m.k, m.start_prime, m.length) for m in g.members]) for g in found] == groups
+
+
+@pytest.mark.parametrize("ks, x, modulus, values", [
+    ({2: 24, 3: 2}, 10 ** 13, 24, [23939]),  # the cubes' 12 copies add 6% to the keys
+    ({2: 24, 3: 2}, 10 ** 11, 2, [23939]),
+    ({6: 504, 8: 480, 10: 264}, 10 ** 30, 24, []),
+    ({4: 240, 5: 2}, 10 ** 20, 2, []),  # 120 copies of the fifth powers
+    # a few dozen keys each, which would go to 32760 and 69 million classes
+    ({12: 65520, 13: 2}, 10 ** 30, 2, []),
+    ({36: 138181680, 37: 2}, 10 ** 30, 2, []),
+], ids=["2,3", "2,3-small", "6,8,10", "4,5", "12,13", "36,37"])
+def test_cross_searches_copy_the_minor_blocks_only_when_cheap(ks, x, modulus, values):
+    # _modulus takes the leading M_k only while the copies of the other
+    # exponents' blocks add at most an eighth to the keys; else the gcd
+    ps_by_k = {k: _search_prefix(x, k) for k in ks}
+    counts_by_k = {k: starts_by_length(ps) for k, ps in ps_by_k.items()}
+    assert {k: _power_modulus(k) for k in ks} == ks
+    assert _modulus(counts_by_k) == modulus
+    passes = list(_passes(ps_by_k, counts_by_k, DEFAULT_MAX_IN_MEMORY, {}))
+    assert len(passes) <= modulus
+    groups = find_cross_power_duplicates_from_prefixes(ps_by_k)
+    assert [g.n for g in groups] == values
 
 
 def test_cross_power_needs_two_exponents():
