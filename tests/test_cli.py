@@ -468,14 +468,61 @@ def test_removed_flags_are_usage_errors(capsys, tmp_path):
         assert not target.exists()
 
 
-def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "primesums", "count", "--k", "3", "--x", "1000"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == "1000\t3\t10\t4\t4\n"
+def run_module(module, argv, stdout=subprocess.PIPE):
+    """python -m module argv, stdout block-buffered as it is by default in a pipe or file."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                          stdout=stdout, stderr=subprocess.PIPE)
+
+
+@pytest.mark.parametrize("module", ["primesums", "primesums.cli"])
+@pytest.mark.parametrize("argv, status", [
+    (["count", "--k", "3", "--x", "1000"], 0),
+    (["table", "--k", "2", "--from", "1e3", "--to", "1e9", "--format", "csv"], 0),
+    (["count", "--k", "0", "--x", "1000"], 1),
+    (["count", "--k", "2", "--x", "1e30"], 2),
+    # past stdout's buffer, so the file is complete only if it was closed
+    (["enumerate", "--k", "2", "--x", "1e7", "--format", "csv", "--out"], 0),
+], ids=["count", "table-csv", "usage-error", "over-budget", "out"])
+def test_module_entry_point(capsys, tmp_path, module, argv, status):
+    # the process ends with os._exit once main() returns, so each way of
+    # starting the CLI must give the bytes and status of main() in process
+    target = tmp_path / "out.csv"
+    if argv[-1] == "--out":
+        argv = [*argv, str(target)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == status
+    written = target.read_bytes() if target.exists() else None
+    target.unlink(missing_ok=True)
+    proc = run_module(module, argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+    if written is not None:
+        assert len(written) > 8192
+        assert target.read_bytes() == written
+
+
+def test_a_profiled_run_writes_its_report():
+    # os._exit would end the process before cProfile prints its stats
+    proc = run_module("cProfile", ["-m", "primesums", "count", "--k", "2", "--x", "1e6"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(b"1000000\t2\t1998\t54\t168\n")
+    assert b"function calls" in proc.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv, status", [
+    (["primesums", "count", "--k", "2", "--x", "100"], 2),
+    (["primesums", "enumerate", "--k", "2", "--x", "1e8"], 2),
+    (["primesums", "count", "--k", "2", "--x", "100", "--out", "/dev/full"], 2),
+    # cProfile ends with status 0 whatever its program's, after a normal exit
+    (["cProfile", "-m", "primesums", "count", "--k", "2", "--x", "100"], 0),
+], ids=["count", "enumerate", "out", "profiled"])
+def test_a_full_disk_is_reported_once(argv, status):
+    # what stdout still holds after the failed write is not flushed again
+    # at exit, which would print "Exception ignored" and exit 120
+    with open("/dev/full", "wb") as full:
+        proc = run_module(argv[0], argv[1:], stdout=full)
+    assert (proc.returncode, proc.stderr) == (status, b"error: [Errno 28] No space left on device\n")
 
 
 @pytest.mark.parametrize("argv, line", [
