@@ -10,6 +10,16 @@ primesums or python -m primesums.cli), the process ends right after its
 output and errors are flushed, with no interpreter teardown; under a
 profiler or tracer it exits normally, so their reports are written.
 
+COMMANDS is the one command registry: each command's runner, help line
+and options.  build_parser builds the argparse parser from it, and
+main() first reads a plain command line straight from it: the command
+word, then only that command's exact flags, each once, every value
+accepted by its type and not led by "-", every required option given.
+Anything else (--help, an abbreviation such as --fr, --name=value, a
+repeated flag, a usage error) goes to argparse, imported only then, so
+help, errors and exit status are argparse's as before, and a plain
+line never loads argparse, gettext or locale.
+
 Each command imports what it runs beyond the counting core: table and
 bounds load the bound formulas when they start, and duplicates, cross
 and count --distinct load the duplicate search (and numpy), so
@@ -26,24 +36,19 @@ count_with_distinct.  The CLI adds only its own refusal of --ks with
 fewer than two distinct exponents.
 """
 
-import argparse
 import contextlib
 import os
 import stat
 import sys
+from types import SimpleNamespace
 
 from .counting import TRIM_STARTS, count_rows, count_up_to, start_runs
 from .prefix import sieve_limit
 from .sieve import iter_primes
 
 
-class UsageError(ValueError, argparse.ArgumentTypeError):
-    """Bad flags or flag values; exit status 1.  argparse prints its text as is."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
+class UsageError(ValueError):
+    """Bad flags or flag values; exit status 1."""
 
 
 def parse_x(text: str) -> int:
@@ -72,8 +77,6 @@ def parse_x(text: str) -> int:
 
 
 def _positive_int(text: str) -> int:
-    # a UsageError's text reaches the user; argparse would replace a
-    # plain ValueError's with its own, naming this function
     try:
         value = int(text)
     except ValueError:
@@ -90,65 +93,134 @@ def _parse_ks(text: str) -> tuple:
     return tuple(map(parse_x, parts))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+FORMATS = ("tsv", "csv")
+_K = ("--k", "k", _positive_int, "exponent")
+_X = ("--x", "x", parse_x, "inclusive bound on n")
+
+# Each command: the name of its runner in this module (read when a line
+# is parsed, so a replaced runner is the one called), its help line,
+# whether it takes --format (duplicates and cross print expanded sums,
+# which have no columns), and its own options as (flag, dest, type,
+# help).  An option with a type is required and takes one value; one
+# with type None is a store-true flag.  Every command also takes --out.
+COMMANDS = {
+    "enumerate": (
+        "_run_enumerate", "stream one line per representation: n, start prime", True,
+        (_K, _X),
+    ),
+    "count": (
+        "_run_count", "one summary line: x, k, count, max run length, primes", True,
+        (_K, _X, ("--distinct", "distinct", None,
+                  "append the distinct-value count (runs the duplicate scan)")),
+    ),
+    "table": (
+        "_run_table", "decade rows from --from to --to: x, count, upper, lower", True,
+        (_K, ("--from", "from_x", parse_x, "first x (decade-stepped upward)"),
+         ("--to", "to_x", parse_x, "last x (inclusive)")),
+    ),
+    "bounds": (
+        "_run_bounds", "raw bound formulas at one point: constant, main terms", True,
+        (_K, ("--x", "x", parse_x, "evaluation point")),
+    ),
+    "duplicates": (
+        "_run_duplicates", "values with several runs for one exponent, expanded", False,
+        (_K, _X),
+    ),
+    "cross": (
+        "_run_cross", "values representable under several exponents, expanded", False,
+        (("--ks", "ks", _parse_ks, "comma-separated exponents, e.g. 2,3"), _X),
+    ),
+}
+
+
+def build_parser():
+    """The argparse parser of COMMANDS, for every line _plain_args declines."""
+    import argparse
+    import functools
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(message)
+
+    def typed(convert):
+        # argparse prints an ArgumentTypeError's text as is, and in place
+        # of any other ValueError's it names the type function
+        @functools.wraps(convert)
+        def checked(text):
+            try:
+                return convert(text)
+            except UsageError as err:
+                raise argparse.ArgumentTypeError(str(err)) from None
+        return checked
+
+    parser = Parser(
         prog="primesums",
         description="Sums of k-th powers of consecutive primes: "
         "enumerate, count, bound, and search for duplicates.",
     )
     sub = parser.add_subparsers(required=True, metavar="command")
-
-    def add(name, runner, help_text, tabular=True):
-        # duplicates and cross print expanded sums, which have no columns
+    for name, (runner, help_text, tabular, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(runner=runner)  # run(args) calls it
+        p.set_defaults(runner=globals()[runner])  # run(args) calls it
         if tabular:
-            p.add_argument("--format", choices=("tsv", "csv"), default="tsv",
+            p.add_argument("--format", choices=FORMATS, default="tsv",
                            help="tsv (no header) or csv (header row)")
         p.add_argument("--out", metavar="PATH", default=None,
                        help="write output to PATH instead of stdout")
-        return p
-
-    p = add("enumerate", _run_enumerate,
-            "stream one line per representation: n, start prime")
-    p.add_argument("--k", type=_positive_int, required=True, help="exponent")
-    p.add_argument("--x", type=parse_x, required=True, help="inclusive bound on n")
-
-    p = add("count", _run_count,
-            "one summary line: x, k, count, max run length, primes")
-    p.add_argument("--k", type=_positive_int, required=True, help="exponent")
-    p.add_argument("--x", type=parse_x, required=True, help="inclusive bound on n")
-    p.add_argument("--distinct", action="store_true",
-                   help="append the distinct-value count (runs the duplicate scan)")
-
-    p = add("table", _run_table,
-            "decade rows from --from to --to: x, count, upper, lower")
-    p.add_argument("--k", type=_positive_int, required=True, help="exponent")
-    p.add_argument("--from", dest="from_x", type=parse_x, required=True,
-                   help="first x (decade-stepped upward)")
-    p.add_argument("--to", dest="to_x", type=parse_x, required=True,
-                   help="last x (inclusive)")
-
-    p = add("bounds", _run_bounds,
-            "raw bound formulas at one point: constant, main terms")
-    p.add_argument("--k", type=_positive_int, required=True, help="exponent")
-    p.add_argument("--x", type=parse_x, required=True, help="evaluation point")
-
-    p = add("duplicates", _run_duplicates,
-            "values with several runs for one exponent, expanded", tabular=False)
-    p.add_argument("--k", type=_positive_int, required=True, help="exponent")
-    p.add_argument("--x", type=parse_x, required=True, help="inclusive bound on n")
-
-    p = add("cross", _run_cross,
-            "values representable under several exponents, expanded", tabular=False)
-    p.add_argument("--ks", type=_parse_ks, required=True,
-                   help="comma-separated exponents, e.g. 2,3")
-    p.add_argument("--x", type=parse_x, required=True, help="inclusive bound on n")
-
+        for flag, dest, convert, help_text in options:
+            if convert is None:
+                p.add_argument(flag, dest=dest, action="store_true", help=help_text)
+            else:
+                p.add_argument(flag, dest=dest, type=typed(convert), required=True,
+                               help=help_text)
     return parser
 
 
-def _columns(args: argparse.Namespace, sink, names) -> str:
+def _plain_args(argv):
+    """argparse's namespace for a plain command line, read from COMMANDS; None for any other.
+
+    A plain line is the command word, then only that command's exact
+    flags, each at most once: a store-true flag alone, any other with a
+    value that does not start with "-" and that its type accepts.
+    --format must be one of FORMATS, and every required option given.
+    """
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    runner, _, tabular, options = command
+    values = {"format": "tsv"} if tabular else {}
+    values["out"] = None
+    # flag -> (dest, type); a flag leaves once it is read, so a repeat is declined
+    unread = {"--format": ("format", str)} if tabular else {}
+    unread["--out"] = ("out", str)
+    required = set()
+    for flag, dest, convert, _ in options:
+        unread[flag] = (dest, convert)
+        if convert is None:
+            values[dest] = False
+        else:
+            required.add(dest)
+    words = iter(argv[1:])
+    for flag in words:
+        if flag not in unread:
+            return None
+        dest, convert = unread.pop(flag)
+        if convert is None:
+            values[dest] = True
+            continue
+        text = next(words, "-")  # a missing value is declined as a "-"-led one
+        if text.startswith("-"):
+            return None
+        try:
+            values[dest] = convert(text)
+        except (TypeError, ValueError):  # what argparse turns into a usage error
+            return None
+    if not required <= values.keys() or values.get("format", "tsv") not in FORMATS:
+        return None
+    return SimpleNamespace(**values, runner=globals()[runner])
+
+
+def _columns(args, sink, names) -> str:
     """The separator of args.format; csv first writes its header row of names."""
     if args.format == "tsv":
         return "\t"
@@ -156,7 +228,7 @@ def _columns(args: argparse.Namespace, sink, names) -> str:
     return ","
 
 
-def _run_enumerate(args: argparse.Namespace, sink) -> None:
+def _run_enumerate(args, sink) -> None:
     # checked before the header: a bad k, x or sieve prints nothing
     primes = iter_primes(sieve_limit(args.x, args.k))
     sep = _columns(args, sink, ("n", "start_prime"))
@@ -168,7 +240,7 @@ def _run_enumerate(args: argparse.Namespace, sink) -> None:
             sink.write(tail.join([str(ft - fb) for ft in ends[i : i + TRIM_STARTS]]) + tail)
 
 
-def _run_count(args: argparse.Namespace, sink) -> None:
+def _run_count(args, sink) -> None:
     if args.distinct:
         from .duplicates import count_with_distinct
 
@@ -183,7 +255,7 @@ def _run_count(args: argparse.Namespace, sink) -> None:
     sink.write(sep.join(str(v) for v in values) + "\n")
 
 
-def _run_table(args: argparse.Namespace, sink) -> None:
+def _run_table(args, sink) -> None:
     from .bounds import floor_lower_bound, floor_upper_bound
 
     if args.from_x < 2:
@@ -205,7 +277,7 @@ def _run_table(args: argparse.Namespace, sink) -> None:
         sink.flush()
 
 
-def _run_bounds(args: argparse.Namespace, sink) -> None:
+def _run_bounds(args, sink) -> None:
     from .bounds import bound_estimate
 
     est = bound_estimate(args.x, args.k)
@@ -231,18 +303,18 @@ def _write_hunt(x: int, ks: list, sink) -> None:
         sink.write(" = ".join(parts) + "\n")
 
 
-def _run_duplicates(args: argparse.Namespace, sink) -> None:
+def _run_duplicates(args, sink) -> None:
     _write_hunt(args.x, [args.k], sink)
 
 
-def _run_cross(args: argparse.Namespace, sink) -> None:
+def _run_cross(args, sink) -> None:
     ks = sorted(set(args.ks))
     if len(ks) < 2:
         raise UsageError(f"--ks needs at least two distinct exponents, got {args.ks}")
     _write_hunt(args.x, ks, sink)
 
 
-def run(args: argparse.Namespace) -> int:
+def run(args) -> int:
     if args.out is None:
         try:
             args.runner(args, sys.stdout)
@@ -297,9 +369,12 @@ def _discard_stdout() -> None:
 def main(argv=None) -> int:
     # the duplicate kernel never uses the worker threads numpy's OpenBLAS starts
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = _plain_args(argv)
+        if args is None:
+            args = build_parser().parse_args(argv)
         return run(args)
     except BrokenPipeError:
         # downstream closed the pipe (enumerate | head is normal use)

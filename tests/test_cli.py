@@ -1,9 +1,12 @@
+import contextlib
 import io
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from golden import BOUNDS_CSV_HEADER, BOUNDS_CSV_ROWS, COUNT_TABLES, direct_sums
 from primesums import cli, sieve
@@ -468,6 +471,87 @@ def test_removed_flags_are_usage_errors(capsys, tmp_path):
         assert not target.exists()
 
 
+# flags of every command, abbreviations of some, unknown ones and help
+FLAGS = ["--k", "--x", "--from", "--to", "--ks", "--format", "--out", "--distinct",
+         "--fr", "--t", "--dist", "--form", "--o", "--bogus", "--workers", "-h", "--help"]
+VALUES = ["1e3", "2", "10", "abc", "-1", "-", "", "1e10000000", "2,3", "tsv", "csv", "xml", "0"]
+# a value each command option accepts, so that many drawn lines are plain
+GOOD = {"--k": "2", "--x": "1e3", "--from": "1e3", "--to": "1e4", "--ks": "2,3"}
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from([*cli.COMMANDS, "bogus", None]))
+    argv = [] if command is None else [command]
+    if command in cli.COMMANDS and draw(st.booleans()):
+        # the command's own options in any order, each with a drawn value
+        for flag, _, convert, _ in draw(st.permutations(cli.COMMANDS[command][3])):
+            if convert is None:
+                argv.append(flag)
+            elif draw(st.integers(0, 3)):  # three times in four, a value it accepts
+                argv += [flag, GOOD[flag]]
+            else:
+                argv += [flag, draw(st.sampled_from(VALUES))]
+    pieces = st.one_of(
+        st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES)),
+        st.tuples(st.sampled_from(FLAGS)),  # a store-true flag, or a missing value
+        st.tuples(st.builds("{}={}".format, st.sampled_from(FLAGS), st.sampled_from(VALUES))),
+        st.tuples(st.sampled_from(VALUES)),
+    )
+    for piece in draw(st.lists(pieces, max_size=3)):
+        argv += piece
+    return argv
+
+
+def argparse_args(argv):
+    """vars() of argparse's namespace for argv; None where it refuses the line or prints help."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except (cli.UsageError, SystemExit):
+            return None
+
+
+@settings(deadline=None)
+@given(command_lines())
+@example("table --k 2 --fr 1e3 --to 1e4".split())
+@example("count --k=2 --x=1e3".split())
+@example("count --k 2 --x 10 --distinct --distinct".split())
+@example("count --k 2 --x 10 --dist".split())
+@example("enumerate --k 2 --x 10 --out -".split())
+@example("count --k 2 --x 10 --format xml".split())
+def test_plain_read_is_argparse_or_declines(argv):
+    # the direct read gives argparse's namespace, runner included, or
+    # leaves the line to argparse; wherever argparse refuses, it declines
+    direct = cli._plain_args(argv)
+    if direct is not None:
+        assert vars(direct) == argparse_args(argv)
+
+
+@pytest.mark.parametrize("line, plain", [
+    ("count --k 2 --x 1e3", True),
+    ("count --distinct --format csv --x 1e3 --k 2 --out o.csv", True),
+    ("table --to 1e38 --from 1e20 --k 20", True),
+    ("cross --ks 2,3 --x 1e13", True),
+    ("duplicates --k 2 --x 1e12 --out o.txt", True),
+    ("bounds --k 2 --x 1e15 --format tsv", True),
+    ("table --k 2 --fr 1e3 --to 1e4", False),
+    ("count --k=2 --x=1e3", False),
+    ("count --k 2 --x 10 --distinct --distinct", False),
+    ("count --k 2 --x 10 --dist", False),
+    ("enumerate --k 2 --x 10 --out -", False),
+    ("count --k 2 --x 1e40", True),  # a usage error, but of the run, not the flags
+    ("count --k 2 --x abc", False),
+    ("count --k 2", False),
+    ("count --k 2 --x", False),
+    ("duplicates --k 2 --x 10 --format csv", False),
+    ("count --k 2 --x 10 -h", False),
+    ("--help", False),
+])
+def test_plain_lines_are_read_directly(line, plain):
+    assert (cli._plain_args(line.split()) is not None) == plain
+
+
 def run_module(module, argv, stdout=subprocess.PIPE):
     """python -m module argv, stdout block-buffered as it is by default in a pipe or file."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
@@ -483,14 +567,24 @@ def run_module(module, argv, stdout=subprocess.PIPE):
     (["count", "--k", "2", "--x", "1e30"], 2),
     # past stdout's buffer, so the file is complete only if it was closed
     (["enumerate", "--k", "2", "--x", "1e7", "--format", "csv", "--out"], 0),
-], ids=["count", "table-csv", "usage-error", "over-budget", "out"])
-def test_module_entry_point(capsys, tmp_path, module, argv, status):
+    # lines argparse reads in place of the direct read
+    (["table", "--k", "2", "--fr", "1e3", "--to", "1e4"], 0),
+    (["count", "--k=2", "--x=1e3"], 0),
+    (["enumerate", "--help"], 0),
+], ids=["count", "table-csv", "usage-error", "over-budget", "out", "abbreviated",
+        "equals", "help"])
+def test_module_entry_point(capsys, monkeypatch, tmp_path, module, argv, status):
     # the process ends with os._exit once main() returns, so each way of
     # starting the CLI must give the bytes and status of main() in process
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to the terminal's width
     target = tmp_path / "out.csv"
     if argv[-1] == "--out":
         argv = [*argv, str(target)]
-    code, out, err = run_cli(capsys, *argv)
+    try:
+        code, out, err = run_cli(capsys, *argv)
+    except SystemExit as exit_info:  # --help
+        code = exit_info.code
+        out, err = capsys.readouterr()
     assert code == status
     written = target.read_bytes() if target.exists() else None
     target.unlink(missing_ok=True)
@@ -575,6 +669,37 @@ def test_only_stdlib_imported_outside_duplicate_search(code):
     # bound formulas need nothing beyond the standard library's decimal
     proc = run_stdlib_only(code)
     assert proc.returncode == 0, proc.stderr
+
+
+# runs main() on its arguments, then prints its status and which of
+# argparse and gettext it loaded
+IMPORT_PROBE = """
+import sys
+from primesums.cli import main
+try:
+    status = main(sys.argv[1:])
+except SystemExit as exit_info:
+    status = exit_info.code
+print(status, *sorted({"argparse", "gettext"} & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("line, last", [
+    ("count --k 2 --x 1e3", "0"),
+    ("table --k 20 --from 1e20 --to 1e38", "0"),
+    ("enumerate --k 2 --x 1e3", "0"),
+    ("count --k 2 --x 1e3 --distinct", "0"),
+    ("duplicates --k 2 --x 1e5", "0"),
+    # a usage error and help are argparse's own
+    ("count --k 2", "1 argparse gettext"),
+    ("table --help", "0 argparse gettext"),
+], ids=["count", "table", "enumerate", "distinct", "duplicates", "usage-error", "help"])
+def test_plain_lines_load_no_argparse(line, last):
+    # the direct read runs before argparse is imported, and argparse
+    # loads only for what it alone handles
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *line.split()],
+                          capture_output=True, text=True)
+    assert proc.stdout.splitlines()[-1] == last, proc.stderr
 
 
 def test_stdlib_only_guard_blocks_numpy():
