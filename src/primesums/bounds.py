@@ -182,15 +182,13 @@ def per_length_bound(x: int, k: int, m: int) -> int:
 
 
 def bound_estimate(x: int, k: int) -> BoundEstimate:
-    """Every real-valued bound for (x, k) in one bundle."""
-    _check_xk(x, k)
-    with _digits(WORK_DPS) as ops:
-        return BoundEstimate(
-            x=x,
-            k=k,
-            upper=float(_upper(ops, x, k)),
-            lower=float(_lower(ops, x, k)),
-            c_k=float(_c(ops, k)),
-            m_estimate=float(_m_estimate(ops, x, k)),
-            tws_upper=float(_tws(ops, x)) if k == 2 else None,
-        )
+    """Every real-valued bound for (x, k) in one bundle, each as its own function gives it."""
+    return BoundEstimate(
+        x,
+        k,
+        upper_bound(x, k),  # first, so it checks k and then x
+        lower_bound(x, k),
+        c_constant(k),
+        m_estimate(x, k),
+        tws_upper_s2(x) if k == 2 else None,
+    )

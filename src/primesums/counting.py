@@ -89,7 +89,6 @@ from .prefix import PowerPrefixSums, check_power, sieve_limit, window_sum
 from .sieve import (
     SieveMemoryError,
     block_end,
-    block_primes,
     count_flags,
     count_primes,
     primes_below,
@@ -294,7 +293,7 @@ class _Block(NamedTuple):
 
     stop: int
     first: int
-    flags: bytes
+    flags: bytes  # bytes-like: a sub-block's flags are a bytearray slice
 
 
 class _Crossover(NamedTuple):
@@ -392,7 +391,7 @@ def _reports(rows: list, k: int, limit: int) -> Iterator[CountReport]:
         end = block_end(first, flags)  # every number below end is sieved
         kept.append(_Block(seen + count_flags(flags), first, flags))
         if sweeping:
-            primes = block_primes(first, flags)
+            primes = list(primes_from(first, flags, first))
             powers = list(map(pow, primes, repeat(k)))
             for row in sweeping:
                 row.push(primes, powers)

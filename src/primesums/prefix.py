@@ -13,7 +13,8 @@ run (counting.start_runs).  sieve_limit maps (x, k) to the sieve limit
 for all of them.
 """
 
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
+from operator import ge
 from typing import NamedTuple
 
 from .arith import check_uint64, check_uint128, checked_pow, integer_kth_root
@@ -83,16 +84,20 @@ def _prefix_sums(primes: list, k: int, x: int) -> PowerPrefixSums:
 
 
 def build_from_primes(primes: list, k: int, x: int) -> PowerPrefixSums:
-    """Prefix sums over an explicit ascending list of primes.
+    """Prefix sums over an explicit strictly ascending list of primes.
 
-    The list is kept as it is, not copied.  The smallest p and the
-    largest p^k range-check the whole list; f itself may pass 2^128,
-    because callers only ever use differences of f bounded by x.
+    The list is kept as it is, not copied.  Every reader of the sums
+    takes the list to ascend, so one that does not is refused.  Its
+    first p and its last p^k then range-check the whole list; f itself
+    may pass 2^128, because callers only ever use differences of f
+    bounded by x.
     """
     check_power(k)
+    if any(map(ge, primes, islice(primes, 1, None))):
+        raise ValueError("primes must be strictly ascending")
     if primes:
-        check_uint64(min(primes), "base")
-        checked_pow(max(primes), k)
+        check_uint64(primes[0], "base")
+        checked_pow(primes[-1], k)
     return _prefix_sums(primes, k, x)
 
 

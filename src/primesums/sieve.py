@@ -22,19 +22,20 @@ own, then one (first, flags) block per sub-block of BLOCK_ODDS odd
 numbers, where flags[i] is 1 exactly when first + 2*i is prime.  The
 reader chooses what a block costs.  count_flags counts its primes in
 C, which is all counting.count_rows needs of most blocks.
-block_primes extracts a block's primes: it selects from the fixed list
-of even offsets 0, 2, 4, ... with itertools.compress and adds the
-block's first odd number to each offset kept, in C, so an int is made
-for each prime, not for each odd number.  iter_primes extracts every
-block as it is read, and primes_up_to extends one list block by block.
 
-A block is also read by number, so that its reader never indexes the
-flags: primes_from(first, flags, n) gives its primes from n on,
-ascending; primes_below(first, flags, n) its primes below n,
-descending; count_primes(first, flags, lo, hi) counts its primes p
-with lo <= p < hi in C; and block_end(first, flags) is the number
-below which every number is sieved once the block is out.  n may lie
-anywhere, before, inside or past the block.
+A block is read by number, so that its reader never indexes the flags:
+primes_from(first, flags, n) gives its primes from n on, ascending;
+primes_below(first, flags, n) its primes below n, descending;
+count_primes(first, flags, lo, hi) counts its primes p with
+lo <= p < hi in C; and block_end(first, flags) is the number below
+which every number is sieved once the block is out.  n may lie
+anywhere, before, inside or past the block.  primes_from selects from
+the fixed list of even offsets 0, 2, 4, ... with itertools.compress and
+adds the odd number the read starts at to each offset kept, in C, so
+an int is made for each prime, not for each odd number.  Every prime
+leaves the sieve through it: primes_from(first, flags, first) is a
+whole block's primes, which iter_primes chains block by block and
+primes_up_to extends one list with.
 
 A limit whose one-byte-per-odd-number flags would exceed BUDGET_BYTES
 (2 GiB, a fixed limit past about 4.3 * 10^9) raises SieveMemoryError
@@ -82,9 +83,7 @@ def _odd_segments(limit: int) -> Iterator[tuple]:
     checked when this is called, not when the first segment is drawn.
     """
     check_budget(limit)
-    root = math.isqrt(limit)
-    blocks = _sub_blocks(_odd_segments(root)) if root >= 3 else ()
-    base = _primes_of(blocks)
+    base = list(iter_primes(math.isqrt(limit)))[1:]  # the odd base primes
     return _sieve_segments(sieve_bytes_needed(limit), base, segment_bytes(limit))
 
 
@@ -168,11 +167,6 @@ def block_end(first: int, flags) -> int:
     return first + 2 * len(flags) - 1
 
 
-def block_primes(first: int, flags) -> list:
-    """The primes of one block, ascending: each first + 2*i whose flags[i] is 1."""
-    return list(primes_from(first, flags, first))
-
-
 def sieve_blocks(limit: int) -> Iterator[tuple]:
     """Every prime p <= limit, ascending, as a stream of (first, flags) blocks.
 
@@ -196,20 +190,17 @@ def iter_primes(limit: int) -> Iterator[int]:
     Raises SieveMemoryError when called, before any prime is produced,
     if limit lies past the fixed sieve budget.
     """
-    return itertools.chain.from_iterable(itertools.starmap(block_primes, sieve_blocks(limit)))
-
-
-def _primes_of(blocks: Iterator[tuple]) -> list:
-    """The primes of (first, flags) blocks, in order, as one list."""
-    primes = []
-    for first, flags in blocks:
-        primes += primes_from(first, flags, first)
-    return primes
+    return itertools.chain.from_iterable(
+        primes_from(first, flags, first) for first, flags in sieve_blocks(limit)
+    )
 
 
 def primes_up_to(limit: int) -> list:
     """Every prime p <= limit, as an ascending list."""
-    return _primes_of(sieve_blocks(limit))
+    primes = []
+    for first, flags in sieve_blocks(limit):
+        primes += primes_from(first, flags, first)
+    return primes
 
 
 def prime_count(limit: int) -> int:

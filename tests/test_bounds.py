@@ -189,21 +189,26 @@ def test_explicit_square_bound():
 
 
 def test_domain_errors():
-    for func in (upper_bound, lower_bound, m_estimate):
+    for func in (upper_bound, lower_bound, m_estimate, bound_estimate):
         with pytest.raises(ValueError):
             func(1, 2)
         with pytest.raises(ValueError):
             func(10, 1)
+    # k is checked before x
+    with pytest.raises(ValueError, match="power k"):
+        bound_estimate(1, 1)
     with pytest.raises(ValueError):
         tws_upper_s2(0)
 
 
 def test_bundle():
-    est = bound_estimate(10 ** 6, 2)
-    assert est.x == 10 ** 6 and est.k == 2
-    assert est.upper == pytest.approx(upper_bound(10 ** 6, 2), rel=1e-15)
-    assert est.lower == pytest.approx(lower_bound(10 ** 6, 2), rel=1e-15)
-    assert est.c_k == pytest.approx(c_constant(2), rel=1e-15)
-    assert est.m_estimate == pytest.approx(m_estimate(10 ** 6, 2), rel=1e-15)
-    assert est.tws_upper == pytest.approx(tws_upper_s2(10 ** 6), rel=1e-15)
+    # the bundle is the raw bounds themselves, so each field is equal, not close
+    for x, k in ((10 ** 6, 2), (10 ** 30, 7), (2 ** 128 - 1, 64)):
+        est = bound_estimate(x, k)
+        assert est.x == x and est.k == k
+        assert est.upper == upper_bound(x, k)
+        assert est.lower == lower_bound(x, k)
+        assert est.c_k == c_constant(k)
+        assert est.m_estimate == m_estimate(x, k)
+    assert bound_estimate(10 ** 6, 2).tws_upper == tws_upper_s2(10 ** 6)
     assert bound_estimate(10 ** 6, 3).tws_upper is None

@@ -65,6 +65,11 @@ def test_build_from_primes_range_errors():
     with pytest.raises(OverflowError):
         build_from_primes([3, 2 ** 63], 3, 2 ** 128 - 1)
     assert build_from_primes([], 2, 100).f == [0]
+    # every reader takes the list to ascend: over [3, 2, 5] the sweep
+    # and the enumeration would disagree about the one run up to 4, 2^2
+    for primes in ([3, 2, 5], [2, 2, 3], [2, 3, 5, 7, 5]):
+        with pytest.raises(ValueError, match="ascending"):
+            build_from_primes(primes, 2, 4)
 
 
 def test_prefix_past_128_bits_still_counts():

@@ -15,7 +15,6 @@ from primesums.sieve import (
     SEGMENT_BYTES,
     SieveMemoryError,
     block_end,
-    block_primes,
     count_primes,
     iter_primes,
     prime_count,
@@ -135,7 +134,7 @@ def test_limits_at_segment_edges(edge, offset):
 
 @pytest.mark.parametrize("limit", [2, 3, BLOCK_EDGES[0], EDGES[0] - 1 + 2 * BLOCK_ODDS])
 def test_prime_blocks_follow_the_sub_blocks(limit):
-    blocks = [block_primes(first, flags) for first, flags in sieve_blocks(limit)]
+    blocks = [list(primes_from(first, flags, first)) for first, flags in sieve_blocks(limit)]
     assert blocks[0] == [2]
     # list i holds the odd primes from 2 * BLOCK_ODDS * (i - 1) + 1 on
     for i, block in enumerate(blocks[1:], 1):
