@@ -14,10 +14,10 @@ would sort them again and load numpy.ma.
 
 Every search for groups by x goes through _hunt: find_duplicates,
 find_cross_power_duplicates and the CLI's duplicates and cross call it,
-and it checks every exponent's sieve limit before the first prefix is
-built, builds one per exponent, and returns them with the groups, from
-which the CLI prints its expanded sums.  count_with_distinct, behind
-distinct_count and count --distinct, builds its one prefix itself.
+and it checks the cap and every exponent's sieve limit before the first
+prefix is built, builds one per exponent, and returns them with the
+groups, from which the CLI prints its expanded sums.  count_with_distinct
+(distinct_count, count --distinct) checks the cap and builds its own.
 
 Below x = 2^63 the searches by x take their keys straight from the sieve's
 blocks: _search_prefix makes the primes as one uint64 array('Q'), from
@@ -62,14 +62,14 @@ than the cap, the whole class first, is cut into value slices,
 P = ceil(keys / cap) in all: slice i holds the sums from v_i up to
 v_{i+1}, where the runs from the piece's smallest sum up to v_i are
 i/P of those from it up to its largest sum, by the shape of their
-count, v^(2/(k+1)) / (ln v)^(2k/(k+1)).  For fixed m the sums rise
-with b, so a block's part of a slice is one range of starts, found by
-bisection on the exact sums, and only the bounds inside the block's
-own sums cut it.  The shape only estimates where the runs lie, so a
-slice that still holds more than the cap is cut by the same rule, and
-so on until each piece fits or holds one value.  The bounds lie above
-the smallest sum and at most the largest, so every cut makes at least
-two pieces.
+count, v^(2/(k+1)) / (ln v)^(2k/(k+1)).  The slices are made one at
+a time, in ascending order, so a piece never holds all of them.  For
+fixed m the sums rise with b, so a block's part of a slice is one
+range of starts, found by bisection on the exact sums.  The shape only
+estimates where the runs lie, so a slice that still holds more than
+the cap is cut by the same rule, and so on until each piece fits or
+holds one value.  The bounds lie above the smallest sum and at most
+the largest, so every cut makes at least two pieces.
 
 Equal sums share a pass, so each pass's repeated keys are searched
 back into its own ranges.  These are cut into pieces whose sums span
@@ -84,8 +84,9 @@ commands import it, so they do not pay for loading numpy.
 """
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from math import exp, gcd, log
+from operator import index
 from typing import NamedTuple
 
 import numpy as np
@@ -172,36 +173,33 @@ def _within_cap(ps_by_k: dict, parts: list, windows: list, max_in_memory: int):
     """(parts, windows) of one class, cut by the count's shape until each fits the cap.
 
     A piece with more keys than the cap is cut into ceil(keys / cap)
-    value slices, at the bounds of _slice_bounds between its smallest
-    and largest sum, and each slice still past the cap is cut again.
-    The bounds lie in (smallest, largest], so the smallest sum falls in
-    the first slice and the largest in the last, and every cut makes at
-    least two pieces.  A piece that holds a single value is not cut: its
-    runs share a pass.
+    value slices at the bounds of _slice_bounds, and a slice still past
+    the cap is cut again.  The slices are made one at a time, in
+    ascending order: a part's share of the slice below v runs from its
+    next start to its first start with a sum of v or more.  A piece
+    that holds a single value is not cut: its runs share a pass.
     """
-    pending = [(parts, windows)]
-    while pending:
-        parts, windows = pending.pop()
-        keys = len(windows) + sum(hi - lo for *_, lo, hi in parts)
-        if keys <= max_in_memory:
-            yield parts, windows
-            continue
+    keys = len(windows) + sum(hi - lo for *_, lo, hi in parts)
+    if keys > max_in_memory:
         low, high = _span(ps_by_k, parts, windows)
-        if low == high:
-            yield parts, windows
-            continue
-        bounds = _slice_bounds(low, high, min(ps_by_k), -(-keys // max_in_memory))
-        slices = [([], []) for _ in range(len(bounds) + 1)]
-        for k, m, lo, hi in parts:
+    if keys <= max_in_memory or low == high:
+        yield parts, windows
+        return
+    bounds = _slice_bounds(low, high, min(ps_by_k), -(-keys // max_in_memory))
+    rest, windows, taken = list(parts), sorted(windows), 0
+    for v in [*bounds, high + 1]:
+        piece = []
+        for i, (k, m, lo, hi) in enumerate(rest):
             window = window_sum(ps_by_k[k].f, m)
-            first, last = (bisect_right(bounds, window(b)) for b in (lo, hi - 1))
-            cuts = [bisect_left(range(hi), v, lo, key=window) for v in bounds[first:last]]
-            for i, start, end in zip(range(first, last + 1), [lo, *cuts], [*cuts, hi]):
-                if start < end:  # equal bounds leave a slice empty
-                    slices[i][0].append((k, m, start, end))
-        for window in windows:
-            slices[bisect_right(bounds, window[0])][1].append(window)
-        pending += [piece for piece in reversed(slices) if piece != ([], [])]
+            if lo < hi and window(lo) < v:
+                end = hi if window(hi - 1) < v else bisect_left(range(hi), v, lo, key=window)
+                piece.append((k, m, lo, end))
+                rest[i] = (k, m, end, hi)
+        # (v,) sorts before every window whose sum is v or more
+        end = bisect_left(windows, (v,), taken)
+        if piece or end > taken:  # equal bounds leave a slice empty
+            yield from _within_cap(ps_by_k, piece, windows[taken:end], max_in_memory)
+        taken = end
 
 
 def _power_sums(primes, k: int, g) -> None:
@@ -339,11 +337,10 @@ def _verified_member(ps: PowerPrefixSums, n: int, b: int, m: int) -> Representat
     return Representation(n, k, b, m, primes[b])
 
 
-def _group(ps_by_k: dict, n: int, rows: list) -> DuplicateGroup:
-    members = tuple(
-        _verified_member(ps_by_k[k], n, b, m) for k, b, m in sorted(rows)
-    )
-    return DuplicateGroup(n=n, members=members)
+def _check_cap(max_in_memory) -> None:
+    """Refuse a cap that is not an integer (TypeError) or is below 1 (ValueError)."""
+    if index(max_in_memory) < 1:
+        raise ValueError(f"max_in_memory must be positive, got {max_in_memory}")
 
 
 def _duplicate_groups(ps_by_k: dict, counts_by_k: dict, max_in_memory: int) -> list:
@@ -351,8 +348,7 @@ def _duplicate_groups(ps_by_k: dict, counts_by_k: dict, max_in_memory: int) -> l
 
     counts_by_k holds starts_by_length of each prefix array.
     """
-    if max_in_memory < 1:
-        raise ValueError(f"max_in_memory must be positive, got {max_in_memory}")
+    _check_cap(max_in_memory)
     keys_of = {}
     rows_by_n = {}
     for _, parts, windows in _passes(ps_by_k, counts_by_k, max_in_memory, keys_of):
@@ -374,20 +370,22 @@ def _duplicate_groups(ps_by_k: dict, counts_by_k: dict, max_in_memory: int) -> l
         rows = rows_by_n[n]
         # a cross-power group needs runs under two exponents
         if len(rows if len(ps_by_k) == 1 else {row[0] for row in rows}) > 1:
-            groups.append(_group(ps_by_k, n, rows))
+            members = (_verified_member(ps_by_k[k], n, b, m) for k, b, m in sorted(rows))
+            groups.append(DuplicateGroup(n, tuple(members)))
     return groups
 
 
 def _hunt(x: int, ks: list, max_in_memory: int = DEFAULT_MAX_IN_MEMORY) -> tuple:
     """(ps_by_k, groups): the prefix sums and the groups of the search up to x.
 
-    ks are distinct exponents, ascending.  Every k, x and budget is
-    refused before the first prefix is built.  One exponent finds its
-    duplicates, several their cross-power groups; the finders are looked
-    up by name, so a wrapper set on this module sees every search.
+    ks are distinct exponents, ascending.  Every k, x, sieve budget and
+    cap is refused before the first prefix is built.  One exponent finds
+    its duplicates, several their cross-power groups; the finders are
+    looked up by name, so a wrapper set on this module sees every search.
     """
     for k in ks:
         sieve_limit(x, k)
+    _check_cap(max_in_memory)
     ps_by_k = {k: _search_prefix(x, k) for k in ks}
     if len(ks) > 1:
         return ps_by_k, find_cross_power_duplicates_from_prefixes(ps_by_k, max_in_memory)
@@ -407,12 +405,12 @@ def find_duplicates_from_prefix(
     """Duplicate groups of one prefix array.
 
     At most max_in_memory keys (8 bytes each) are sorted at once, or the
-    runs of one value if more of them share it.  Each pass walks every
-    run length's range in Python, so a cap far below a class's keys
-    costs about (passes x run lengths) Python steps:
-    find_cross_power_duplicates(2**63, {3, 4}, 10**4) took 484-548 s,
-    against 2.2-2.4 s at the default cap, for the same one group
-    (2 vCPUs, CPython 3.11).
+    runs of one value if more of them share it.  A class's value slices
+    are made one at a time, so a small cap peaks at or below the default
+    cap's memory, but each pass walks every run length's range in
+    Python: find_cross_power_duplicates(10**17, {3, 4}, 1000) took 101 s
+    and 33 MB, against 0.27 s and 94 MB at the default cap, for the same
+    one group (2 vCPUs, CPython 3.11).
     """
     return _duplicate_groups({ps.k: ps}, {ps.k: starts_by_length(ps)}, max_in_memory)
 
@@ -458,8 +456,9 @@ def count_with_distinct(
     """The CountReport up to x and its number of distinct n <= x.
 
     The count and the duplicate search read one prefix array and one
-    starts_by_length.
+    starts_by_length.  The cap is refused before the prefix is built.
     """
+    _check_cap(max_in_memory)
     ps = _search_prefix(x, k)
     counts = starts_by_length(ps)
     report = report_of(ps, counts)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from array import array
 from bisect import bisect_right
 from collections import Counter
@@ -88,10 +89,33 @@ def test_small_memory_cap_same_results_no_files(tmp_path, monkeypatch):
     assert os.listdir(temp) == []
 
 
+def traced(f):
+    """f() and its traced peak, in bytes."""
+    tracemalloc.start()
+    try:
+        return f(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_tiny_memory_cap_same_results():
-    # 8371 passes of a few keys each; a block is bisected only at the
-    # value bounds inside its own sums, so this stays linear
+    # 8371 passes of a few keys each
     assert find_duplicates(10 ** 8, 2, max_in_memory=5) == find_duplicates(10 ** 8, 2)
+    # a class's value slices are made one at a time, so past its prefix
+    # a tiny cap holds little more than the default: about 0.06 against
+    # 0.05 MB for the squares, and 0.08 against 0.15 MB for {3, 4}, where
+    # a table of every slice took 0.13-0.29 and 1.24 MB; the line above
+    # makes the first call's one-off allocations
+    squares = _search_prefix(10 ** 8, 2)
+    cross = {k: _search_prefix(10 ** 11, k) for k in (3, 4)}
+    for search, cap in [
+        (lambda cap: find_duplicates_from_prefix(squares, cap), 5),
+        (lambda cap: find_cross_power_duplicates_from_prefixes(cross, cap), 30),
+    ]:
+        capped, capped_peak = traced(lambda: search(cap))
+        default, default_peak = traced(lambda: search(DEFAULT_MAX_IN_MEMORY))
+        assert capped == default
+        assert capped_peak <= 2 * default_peak, (capped_peak, default_peak)
 
 
 @pytest.mark.parametrize(
@@ -200,6 +224,25 @@ def test_class_modulus_of_exponent_sets():
 def test_memory_cap_must_be_positive():
     with pytest.raises(ValueError):
         find_duplicates(10 ** 5, 2, max_in_memory=0)
+
+
+@pytest.mark.parametrize(
+    "cap, error", [(1e3, TypeError), (2.5, TypeError), ("1000", TypeError), (0, ValueError)]
+)
+@pytest.mark.parametrize("search", [
+    lambda cap: find_duplicates(10 ** 8, 2, cap),
+    lambda cap: distinct_count(10 ** 8, 2, cap),
+    lambda cap: find_cross_power_duplicates(10 ** 8, {2, 3}, cap),
+], ids=["find_duplicates", "distinct_count", "cross"])
+def test_a_cap_is_refused_before_the_first_prefix(monkeypatch, search, cap, error):
+    # a cap that is not an integer is refused even where it would cut no
+    # class (1e6 cuts none at 10^8), and every cap before the sieve runs
+    def no_prefix(x, k):
+        raise AssertionError("a prefix was built")
+
+    monkeypatch.setattr(duplicates, "_search_prefix", no_prefix)
+    with pytest.raises(error):
+        search(cap)
 
 
 def test_cross_power_witness():
