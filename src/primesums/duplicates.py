@@ -25,10 +25,11 @@ numpy's indices of each block's flags, and g as their wrapping running
 sum in a second one, which it holds as f.  A bisection reads a window
 of at most 2x < 2^64, which g gives exactly, so the primes and sums
 are never held as Python ints.  Hand-built lists and x from 2^63 on
-keep build's lists, whose f is exact, and g is made from them.  An
-array('Q') reads as Python ints, as a list does, so both run the same
-code: f is read only through prefix.window_sum, which adds back the
-2^64 a window of g wraps by, and numpy views the arrays in place.
+keep build's lists, whose f is exact, and g is made from them.  The
+search reads every sum in numpy as a window f[b+m] - f[b] of one array
+f: below 2^63 that is g itself, viewed in place, whose uint64 windows
+wrap back to the exact sums, and otherwise an object array of the
+list's ints, so both run the same code.
 
 The search runs one class of run lengths per pass.  Let M_k be the
 largest M whose Carmichael function divides k (24 for k = 2, 240 for
@@ -40,12 +41,13 @@ n = m (mod G), and equal sums have lengths in one class mod G.  The
 index e is one past the last power that is not 1 (mod G), read from
 the list itself: 2 for the squares of primes, whose 4 and 9 share a
 factor with 24.  Class r holds the starts from e
-on of every block (k, m) with m = r (mod G), and the few windows that
-start before e and have n = r (mod G); those are one small chunk of
-the class's keys, matched on their exact sums.  Any other exponent k'
-of a cross search works mod g = gcd(G, M_k'), which divides M_k': its
-e is read mod g, its windows before e join the class of their exact
-sum, and its blocks from e on join each of the G/g classes r = m
+on of every block (k, m) with m = r (mod G), and as a block of one
+start each run that starts before e and has n = r (mod G).  A class is
+four int64 arrays, its rows (k, m, lo, hi): the runs of m terms from the
+starts lo..hi-1.  Any other exponent k' of a cross search works mod
+g = gcd(G, M_k'), which divides M_k': its e is read mod g, its runs
+before e join the class of their exact sum, and its blocks from e on
+join each of the G/g classes r = m
 (mod g), among which lies the class of every sum they hold.  So a
 pass sorts about keys/G keys of the leading exponent and keys/g of
 each other, all runs of one sum share a class, and a run that G/g
@@ -64,19 +66,20 @@ v_{i+1}, where the runs from the piece's smallest sum up to v_i are
 i/P of those from it up to its largest sum, by the shape of their
 count, v^(2/(k+1)) / (ln v)^(2k/(k+1)).  The slices are made one at
 a time, in ascending order, so a piece never holds all of them.  For
-fixed m the sums rise with b, so a block's part of a slice is one
-range of starts, found by bisection on the exact sums.  The shape only
+fixed m the sums rise with b, so a row's part of a slice is one range
+of starts, and one bisection of every row at once, _first_from, finds
+where each range ends.  The shape only
 estimates where the runs lie, so a slice that still holds more than
 the cap is cut by the same rule, and so on until each piece fits or
 holds one value.  The bounds lie above the smallest sum and at most
 the largest, so every cut makes at least two pieces.
 
 Equal sums share a pass, so each pass's repeated keys are searched
-back into its own ranges.  These are cut into pieces whose sums span
-less than 2^64 (one piece when x < 2^64), where the keys minus the
-first key ascend as the exact sums do.  The windows found are regrouped
-on their exact Python-int sums, which drops windows that only share a
-key, and checked by direct summation.  The cross-power search sorts
+back into its own rows by the same bisection.  A row is read in pieces
+whose sums span less than 2^64 (the whole row below 2^63), where a key
+stands for one exact sum.  The runs found are regrouped on their exact
+sums, which drops runs that only share a key, and checked by direct
+summation.  The cross-power search sorts
 the keys of every exponent together and keeps the groups that span two
 exponents.  This module imports numpy when it loads, and it is loaded
 only by a duplicate search: neither the package nor the CLI's other
@@ -84,15 +87,14 @@ commands import it, so they do not pay for loading numpy.
 """
 
 from array import array
-from bisect import bisect_left
 from math import exp, gcd, log
-from operator import index
+from operator import index, is_
 from typing import NamedTuple
 
 import numpy as np
 
 from .counting import report_of, starts_by_length
-from .prefix import _WRAP, PowerPrefixSums, Representation, build, sieve_limit, window_sum
+from .prefix import _WRAP, PowerPrefixSums, Representation, build, sieve_limit
 from .sieve import sieve_blocks
 
 DEFAULT_MAX_IN_MEMORY = 50_000_000
@@ -156,50 +158,53 @@ def _slice_bounds(low: int, top: int, k: int, count: int) -> list:
     return bounds
 
 
-def _span(ps_by_k: dict, parts: list, windows: list) -> tuple:
-    """The smallest and the largest sum of a piece.
+def _first_from(f, m, lo, hi, v):
+    """Per row, its first start b in lo..hi-1 with a sum f[b + m] - f[b] of v or more, or hi.
 
-    A part's sums rise from its start lo to hi - 1.  The list of ends
-    is freed on return, before the search sorts the pieces.
+    A row's sums rise with b.  v is one value, or one per row.  Every
+    row is bisected at once, and f is read only at starts below hi.
     """
-    sums = [n for n, *_ in windows]
-    for k, m, lo, hi in parts:
-        window = window_sum(ps_by_k[k].f, m)
-        sums += [window(lo), window(hi - 1)]
-    return min(sums), max(sums)
+    lo, hi, v = lo.copy(), hi.copy(), np.full(lo.shape, v, dtype=f.dtype)
+    live = (lo < hi).nonzero()[0]
+    while len(live):
+        mid = (lo[live] + hi[live]) >> 1
+        below = f[mid + m[live]] - f[mid] < v[live]
+        lo[live[below]] = mid[below] + 1
+        hi[live[~below]] = mid[~below]
+        live = live[lo[live] < hi[live]]
+    return lo
 
 
-def _within_cap(ps_by_k: dict, parts: list, windows: list, max_in_memory: int):
-    """(parts, windows) of one class, cut by the count's shape until each fits the cap.
+def _span(f, rows) -> tuple:
+    """The smallest and the largest sum of a piece: a row's sums rise from lo to hi - 1."""
+    _, m, lo, hi = rows
+    return int((f[lo + m] - f[lo]).min()), int((f[hi - 1 + m] - f[hi - 1]).max())
+
+
+def _within_cap(f, rows, k: int, max_in_memory: int):
+    """The rows of one class, cut by the count's shape until each piece fits the cap.
 
     A piece with more keys than the cap is cut into ceil(keys / cap)
-    value slices at the bounds of _slice_bounds, and a slice still past
-    the cap is cut again.  The slices are made one at a time, in
-    ascending order: a part's share of the slice below v runs from its
-    next start to its first start with a sum of v or more.  A piece
-    that holds a single value is not cut: its runs share a pass.
+    value slices at the bounds of _slice_bounds, for the search's least
+    exponent k, and a slice still past the cap is cut again.  The slices
+    are made one at a time, in ascending order: a row's share of the
+    slice below v runs from its next start to its first start with a
+    sum of v or more.  A piece that holds a single value is not cut: its
+    runs share a pass.
     """
-    keys = len(windows) + sum(hi - lo for *_, lo, hi in parts)
+    ks, m, lo, hi = rows
+    keys = int((hi - lo).sum())
     if keys > max_in_memory:
-        low, high = _span(ps_by_k, parts, windows)
+        low, high = _span(f, rows)
     if keys <= max_in_memory or low == high:
-        yield parts, windows
+        yield rows
         return
-    bounds = _slice_bounds(low, high, min(ps_by_k), -(-keys // max_in_memory))
-    rest, windows, taken = list(parts), sorted(windows), 0
-    for v in [*bounds, high + 1]:
-        piece = []
-        for i, (k, m, lo, hi) in enumerate(rest):
-            window = window_sum(ps_by_k[k].f, m)
-            if lo < hi and window(lo) < v:
-                end = hi if window(hi - 1) < v else bisect_left(range(hi), v, lo, key=window)
-                piece.append((k, m, lo, end))
-                rest[i] = (k, m, end, hi)
-        # (v,) sorts before every window whose sum is v or more
-        end = bisect_left(windows, (v,), taken)
-        if piece or end > taken:  # equal bounds leave a slice empty
-            yield from _within_cap(ps_by_k, piece, windows[taken:end], max_in_memory)
-        taken = end
+    for v in [*_slice_bounds(low, high, k, -(-keys // max_in_memory)), high + 1]:
+        end = _first_from(f, m, lo, hi, v)
+        taken = end > lo
+        if taken.any():  # equal bounds leave a slice empty
+            yield from _within_cap(f, np.stack((ks, m, lo, end))[:, taken], k, max_in_memory)
+        lo = end
 
 
 def _power_sums(primes, k: int, g) -> None:
@@ -231,20 +236,22 @@ def _search_prefix(x: int, k: int) -> PowerPrefixSums:
 
 
 def _keys(ps: PowerPrefixSums, modulus: int) -> tuple:
-    """g = f mod 2^64 of ps, as a uint64 array, and its index e.
+    """(g, f, e): g = f mod 2^64 of ps as a uint64 array, an array f of its exact sums, and e.
 
-    The search's own prefix sums hold g as f, which the array shares; a
-    list's g is made from one uint64 array of its primes.
+    The search's own prefix sums hold g as f, which the array shares,
+    and whose windows of at most 2x are exact, so f is g itself.  A
+    list's g is made from one uint64 array of its primes, and its f holds
+    the list's Python ints.
     """
     primes = np.asarray(ps.primes, dtype=np.uint64)
     # as lambda(G) divides k, p^k = 1 (mod G) exactly when p is prime to G
     others = np.flatnonzero(np.gcd(primes, modulus) > 1)
     if isinstance(ps.f, array):
-        keys = np.asarray(ps.f)
+        g = f = np.asarray(ps.f)
     else:
-        keys = np.zeros(len(primes) + 1, dtype=np.uint64)
-        _power_sums(primes, ps.k, keys)
-    return keys, int(others[-1]) + 1 if len(others) else 0
+        g, f = np.zeros(len(primes) + 1, dtype=np.uint64), np.array(ps.f, dtype=object)
+        _power_sums(primes, ps.k, g)
+    return g, f, int(others[-1]) + 1 if len(others) else 0
 
 
 def _modulus(counts_by_k: dict) -> int:
@@ -263,47 +270,60 @@ def _modulus(counts_by_k: dict) -> int:
     return modulus
 
 
-def _passes(ps_by_k: dict, counts_by_k: dict, max_in_memory: int, keys_of: dict):
-    """(r, parts, windows) per pass of class r, which holds every run whose sum is r mod G.
+def _passes(ps_by_k: dict, counts_by_k: dict, max_in_memory: int) -> tuple:
+    """(g, f, base, passes): every exponent's keys and exact sums, and (r, rows) per pass of class r.
 
-    G is _modulus's, M_k of the leading exponent or the gcd.  parts
-    are ranges (k, m, lo, hi) of starts, windows are (n, k, b, m) with b
-    before e.  Another exponent's parts join each class r = m (mod
-    gcd(G, M_k)), so a pass may also hold its runs of other sums.  A
-    class past the cap is cut by value, so the runs of one sum still
-    share a pass.  Before the first pass, keys_of[k] is set to the keys
-    of each exponent, from _keys.
+    g and f hold each exponent's arrays from _keys end to end, from
+    base[k] on; one exponent's are used as they are, and f is g when
+    every exponent's is.  Class r holds every run whose sum is r mod G,
+    G as _modulus gives it.  rows is a 4 x P int64 array of rows (k, m,
+    lo, hi): the runs of m terms from the starts lo..hi-1, counted in g
+    and f.  A run that starts before e is a row of one start in the
+    class of its exact sum.  Another exponent's blocks join each class r
+    = m (mod gcd(G, M_k)), so a pass may also hold its runs of other
+    sums.  A class past the cap is cut by value, so the runs of one sum
+    still share a pass.
     """
     modulus = _modulus(counts_by_k)
-    classes = {}
+    classes, base, gs, fs = {}, {}, [], []
     for k, ps in ps_by_k.items():
         step = gcd(modulus, _power_modulus(k))
-        keys_of[k], e = _keys(ps, step)
+        g, f, e = _keys(ps, step)
+        base[k] = at = sum(map(len, gs))
+        gs.append(g)
+        fs.append(f)
         for m, reach in enumerate(counts_by_k[k], 1):
             if e < reach:
                 for r in range(m % step, modulus, step):
-                    classes.setdefault(r, ([], []))[0].append((k, m, e, reach))
-            window = window_sum(ps.f, m)
-            for b in range(min(e, reach)):
-                n = window(b)
-                classes.setdefault(n % modulus, ([], []))[1].append((n, k, b, m))
-    for r in sorted(classes):
-        for parts, windows in _within_cap(ps_by_k, *classes[r], max_in_memory):
-            yield r, parts, windows
+                    classes.setdefault(r, []).append((k, m, at + e, at + reach))
+        for b in range(e):
+            ms = np.flatnonzero(np.asarray(counts_by_k[k]) > b) + 1
+            for m, n in zip(ms.tolist(), (f[b + ms] - f[b]).tolist()):
+                classes.setdefault(n % modulus, []).append((k, m, at + b, at + b + 1))
+    g = gs[0] if len(gs) == 1 else np.concatenate(gs)
+    f = g if all(map(is_, fs, gs)) else fs[0] if len(fs) == 1 else np.concatenate(fs)
+    # a class's rows are made as its passes start
+    return g, f, base, ((r, rows) for r in sorted(classes)
+                        for rows in _within_cap(f, np.array(classes[r]).T, min(ps_by_k), max_in_memory))
 
 
-def _repeated_keys(keys_of: dict, parts: list, windows: list):
-    """Sorted distinct keys that two or more windows of the pass share."""
-    size = sum(hi - lo for *_, lo, hi in parts)
-    out = np.empty(size + len(windows), dtype=np.uint64)
-    pos = 0
-    for k, m, lo, hi in parts:
-        g = keys_of[k]
+def _repeated_keys(g, rows):
+    """Sorted distinct keys that two or more runs of the pass share.
+
+    The rows of one start are read in one gather, and every other row
+    by one subtraction into the pass's keys: a gather of every start
+    would take 16 or more bytes of temporaries per key.
+    """
+    _, m, lo, hi = rows
+    one = hi - lo == 1
+    out = np.empty(int((hi - lo).sum()), dtype=np.uint64)
+    pos = np.count_nonzero(one)
+    np.subtract(g[lo[one] + m[one]], g[lo[one]], out=out[:pos])
+    for m, lo, hi in zip(*rows[1:, ~one].tolist()):
         np.subtract(g[lo + m : hi + m], g[lo:hi], out=out[pos : pos + hi - lo])
         pos += hi - lo
-    out[size:] = [n % _WRAP for n, *_ in windows]
     out.sort()
-    repeats = out[1:][out[1:] == out[:-1]]  # a key once for each window past its first
+    repeats = out[1:][out[1:] == out[:-1]]  # a key once for each run past its first
     # np.unique would sort again, and load numpy.ma
     first = np.empty(len(repeats), dtype=bool)
     first[:1] = True
@@ -311,18 +331,27 @@ def _repeated_keys(keys_of: dict, parts: list, windows: list):
     return repeats[first]
 
 
-def _hits(window, g, m: int, lo: int, hi: int, repeated):
-    """Starts in lo..hi-1 whose length-m window has one of the repeated keys."""
-    while lo < hi:
-        # the piece lo..end-1 has sums below window(lo) + 2^64
-        top = window(lo) + _WRAP
-        end = hi if window(hi - 1) < top else bisect_left(range(hi), top, lo, key=window)
-        keys = g[lo + m : end + m] - g[lo:end]
-        targets = repeated - keys[0]
-        keys -= keys[0]  # the exact sums minus window(lo), ascending
-        pos = np.minimum(np.searchsorted(keys, targets), len(keys) - 1)
-        yield from (pos[keys[pos] == targets] + lo).tolist()
-        lo = end
+def _hits(g, f, rows, repeated):
+    """(n, k, b, m) for every run of the rows whose key is one of the repeated keys.
+
+    Each round takes every row from lo up to its first start whose sum
+    passes the row's first sum by 2^64: the whole row when f is g.  In
+    that piece a key t from the key of lo up to that of its last start,
+    mod 2^64, stands for the one sum first + (t - key(lo) mod 2^64),
+    which one bisection looks up for every such row and key at once.
+    """
+    while rows.shape[1] and len(repeated):
+        k, m, lo, hi = rows
+        first = f[lo + m] - f[lo]
+        end = hi if f is g else _first_from(f, m, lo, hi, first + _WRAP)
+        key = g[lo + m] - g[lo]
+        offsets = repeated - key[:, None]  # mod 2^64, as the piece's sums minus first
+        row, t = np.nonzero(offsets <= (g[end - 1 + m] - g[end - 1] - key)[:, None])
+        sums = first[row] + offsets[row, t].astype(f.dtype)
+        b = _first_from(f, m[row], lo[row], end[row], sums)
+        hit = f[b + m[row]] - f[b] == sums
+        yield from zip(sums[hit].tolist(), k[row[hit]].tolist(), b[hit].tolist(), m[row[hit]].tolist())
+        rows = np.stack((k, m, end, hi))[:, end < hi]
 
 
 def _verified_member(ps: PowerPrefixSums, n: int, b: int, m: int) -> Representation:
@@ -349,22 +378,13 @@ def _duplicate_groups(ps_by_k: dict, counts_by_k: dict, max_in_memory: int) -> l
     counts_by_k holds starts_by_length of each prefix array.
     """
     _check_cap(max_in_memory)
-    keys_of = {}
+    g, f, base, passes = _passes(ps_by_k, counts_by_k, max_in_memory)
     rows_by_n = {}
-    for _, parts, windows in _passes(ps_by_k, counts_by_k, max_in_memory, keys_of):
-        repeated = _repeated_keys(keys_of, parts, windows)
-        if not len(repeated):
-            continue
-        # a run of an exponent other than the leading one may be found
-        # in several passes, and is kept once
-        for k, m, lo, hi in parts:
-            window = window_sum(ps_by_k[k].f, m)
-            for b in _hits(window, keys_of[k], m, lo, hi, repeated):
-                rows_by_n.setdefault(window(b), set()).add((k, b, m))
-        shared = set(repeated.tolist())
-        for n, k, b, m in windows:
-            if n % _WRAP in shared:
-                rows_by_n.setdefault(n, set()).add((k, b, m))
+    for _, rows in passes:
+        # a run of an exponent other than the leading one may be found in
+        # several passes, and is kept once
+        for n, k, b, m in _hits(g, f, rows, _repeated_keys(g, rows)):
+            rows_by_n.setdefault(n, set()).add((k, b - base[k], m))
     groups = []
     for n in sorted(rows_by_n):
         rows = rows_by_n[n]

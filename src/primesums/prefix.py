@@ -7,7 +7,8 @@ window_sum reads and a Representation records.  build holds the
 primes and f as lists of Python ints, which hand-built lists share
 through build_from_primes.  The duplicate searches read the whole
 array, but below x = 2^63 they make it as two uint64 array('Q')
-(duplicates._search_prefix); counting needs only the stream of powers
+(duplicates._search_prefix), and read its windows in numpy, not
+through window_sum; counting needs only the stream of powers
 (counting.count_up_to), and enumeration keeps f only for the current
 run (counting.start_runs).  sieve_limit maps (x, k) to the sieve limit
 for all of them.
@@ -35,10 +36,11 @@ def check_power(k: int) -> int:
 def window_sum(f, m: int):
     """The sum of the m terms from start b, f[b + m] - f[b], as a function of b.
 
-    It rises with b, as the powers do, so it can key a bisection.  f is
-    a list of ints, or the duplicate search's array('Q') g = f mod 2^64,
-    whose difference wraps below 0 when the sums between pass 2^64:
-    adding 2^64 back reads every window below 2^64 of g exactly.
+    It rises with b, as the powers do, so it can key a bisection, as in
+    counting.starts_by_length.  f is a list of ints, or the duplicate
+    search's array('Q') g = f mod 2^64, whose difference wraps below 0
+    when the sums between pass 2^64: adding 2^64 back reads every window
+    below 2^64 of g exactly.
     """
 
     def window(b):

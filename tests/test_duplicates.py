@@ -131,11 +131,11 @@ def test_value_slices_keep_to_the_cap(x, k):
     counts = starts_by_length(ps)
     cap = sum(counts) // (8 * _power_modulus(k))  # about 8 slices a class
     held = []
-    for _, parts, windows in _passes({k: ps}, {k: counts}, cap, {}):
-        held.append(len(windows) + sum(hi - lo for *_, lo, hi in parts))
+    for _, rows in _passes({k: ps}, {k: counts}, cap)[3]:
+        held.append(int((rows[3] - rows[2]).sum()))
         if held[-1] > cap:  # only the runs of a single value may pass the cap
-            sums = {n for n, *_ in windows}
-            for _, m, lo, hi in parts:
+            sums = set()
+            for _, m, lo, hi in rows.T.tolist():
                 sums |= {window_sum(ps.f, m)(lo), window_sum(ps.f, m)(hi - 1)}
             assert len(sums) == 1
     assert sum(held) == sum(counts)
@@ -147,9 +147,9 @@ def test_one_cutting_rule_makes_no_more_passes_than_halving(x, k, cap, most):
     # and 8431 passes here; cutting them again by the shape makes 1940
     # and 8371
     ps = _search_prefix(x, k)
-    passes = list(_passes({k: ps}, {k: starts_by_length(ps)}, cap, {}))
+    passes = list(_passes({k: ps}, {k: starts_by_length(ps)}, cap)[3])
     assert len(passes) <= most
-    assert all(parts or windows for _, parts, windows in passes)
+    assert all(rows.shape[1] and (rows[2] < rows[3]).all() for _, rows in passes)
 
 
 @pytest.mark.parametrize("x", [10 ** 10, 10 ** 12])
@@ -327,7 +327,7 @@ def test_cross_searches_copy_the_minor_blocks_only_when_cheap(ks, x, modulus, va
     counts_by_k = {k: starts_by_length(ps) for k, ps in ps_by_k.items()}
     assert {k: _power_modulus(k) for k in ks} == ks
     assert _modulus(counts_by_k) == modulus
-    passes = list(_passes(ps_by_k, counts_by_k, DEFAULT_MAX_IN_MEMORY, {}))
+    passes = list(_passes(ps_by_k, counts_by_k, DEFAULT_MAX_IN_MEMORY)[3])
     assert len(passes) <= modulus
     groups = find_cross_power_duplicates_from_prefixes(ps_by_k)
     assert [g.n for g in groups] == values
@@ -366,15 +366,16 @@ def test_groups_sorted_by_n():
 @pytest.mark.parametrize("make", [build, _search_prefix], ids=["list", "uint64"])
 def test_a_sum_on_a_slice_bound_opens_the_upper_slice(monkeypatch, make):
     # slice i holds the sums from v_i up to v_{i+1}: here the bounds are
-    # sums of the class, at starts inside its ranges and before e
+    # sums of the class, at starts inside its rows and before e = 2
     ps = make(10 ** 7, 2)
     counts = starts_by_length(ps)
-    (_, parts, windows), = [p for p in _passes({2: ps}, {2: counts}, 10 ** 9, {}) if p[0] == 1]
-    sums = [window_sum(ps.f, m)(b) for _, m, lo, hi in parts for b in range(lo, hi)]
-    sums += [n for n, *_ in windows]
+    _, f, _, passes = _passes({2: ps}, {2: counts}, 10 ** 9)
+    (rows,) = [rows for r, rows in passes if r == 1]
+    sums = [window_sum(ps.f, m)(b) for _, m, lo, hi in rows.T.tolist() for b in range(lo, hi)]
     inside = [window_sum(ps.f, m)(lo + (hi - lo) * j // 4)
-              for _, m, lo, hi in parts if hi - lo > 4 for j in (1, 2, 3)]
-    bounds = sorted({*inside, *(n for n, *_ in windows if n > 1)})
+              for _, m, lo, hi in rows.T.tolist() if hi - lo > 4 for j in (1, 2, 3)]
+    before = [window_sum(ps.f, m)(lo) for _, m, lo, _ in rows.T.tolist() if lo < 2]
+    bounds = sorted({*inside, *(n for n in before if n > 1)})
     assert len(bounds) > 20
     # a piece is cut at the bounds inside its sums, and by the shape
     # once none are left there
@@ -384,9 +385,8 @@ def test_a_sum_on_a_slice_bound_opens_the_upper_slice(monkeypatch, make):
     # at this cap the first cut's slices fit, so each piece is one slice
     cap = max(Counter(bisect_right(bounds, n) for n in sums).values())
     held, slices = [], []
-    for parts_i, windows_i in _within_cap({2: ps}, parts, windows, cap):
-        here = [window_sum(ps.f, m)(b) for _, m, lo, hi in parts_i for b in range(lo, hi)]
-        here += [n for n, *_ in windows_i]
+    for piece in _within_cap(f, rows, 2, cap):
+        here = [window_sum(ps.f, m)(b) for _, m, lo, hi in piece.T.tolist() for b in range(lo, hi)]
         (i,) = {bisect_right(bounds, n) for n in here}
         slices.append(i)
         held += here

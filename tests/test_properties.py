@@ -13,12 +13,14 @@ passes, one class of run lengths each.
 """
 
 import io
+from bisect import bisect_left
 from collections import Counter
 from contextlib import redirect_stdout
 from itertools import accumulate
 from math import gcd
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -285,11 +287,11 @@ def held_windows(ps_by_k, cap):
     """(n, k, b, m, pass, r) for every window that the search's passes hold."""
     counts_by_k = {k: starts_by_length(ps) for k, ps in ps_by_k.items()}
     held = []
-    for i, (r, parts, windows) in enumerate(_passes(ps_by_k, counts_by_k, cap, {})):
-        for k, m, lo, hi in parts:
+    _, _, base, passes = _passes(ps_by_k, counts_by_k, cap)
+    for i, (r, rows) in enumerate(passes):
+        for k, m, lo, hi in rows.T.tolist():
             f = ps_by_k[k].f
-            held += [(f[b + m] - f[b], k, b, m, i, r) for b in range(lo, hi)]
-        held += [(n, k, b, m, i, r) for n, k, b, m in windows]
+            held += [(f[b + m] - f[b], k, b, m, i, r) for b in range(lo - base[k], hi - base[k])]
     return held
 
 
@@ -364,7 +366,45 @@ def test_keys_are_the_prefix_sums_mod_2_64(case, stream_case):
     # numpy's wrapping powers and running sum against Python's ints
     for ps in (build_from_primes(*case), build(*stream_case)):
         modulus = _power_modulus(ps.k)
-        keys, e = _keys(ps, modulus)
+        keys, f, e = _keys(ps, modulus)
         assert keys.tolist() == [v % 2 ** 64 for v in ps.f]
+        assert f.tolist() == ps.f
         others = [i for i, p in enumerate(ps.primes) if gcd(p, modulus) > 1]
         assert e == (others[-1] + 1 if others else 0)
+
+
+@st.composite
+def bisection_cases(draw):
+    """(exact, f, rows, v): prefix sums of ascending terms, rows (m, lo, hi) of starts, and v.
+
+    exact sums may pass 2^64, and are held as Python ints; the others
+    stay below 2^63, as the search's uint64 sums do.  v is one value or
+    one per row, from below every sum to above every sum.
+    """
+    exact = draw(st.booleans())
+    terms = sorted(draw(st.sets(st.integers(1, 2 ** (80 if exact else 58)), min_size=1, max_size=20)))
+    f = list(accumulate(terms, initial=0))
+    n = len(terms)
+    ends = st.integers(1, n).flatmap(lambda m: st.lists(st.integers(0, n - m + 1), min_size=2, max_size=2)
+                                     .map(lambda ends: (m, min(ends), max(ends))))
+    rows = draw(st.lists(ends, max_size=8))
+    values = st.integers(0, f[-1] + 1)
+    v = draw(st.one_of(values, st.lists(values, min_size=len(rows), max_size=len(rows))))
+    return exact, f, rows, v
+
+
+@settings(deadline=None)
+@given(bisection_cases())
+@example((False, [0, 1, 3, 6], [(1, 0, 3), (2, 1, 1), (3, 0, 1)], 0))  # v below every sum
+@example((True, [0, 2 ** 70, 2 ** 71 + 2 ** 70], [(1, 0, 2), (1, 2, 2)], 2 ** 72))  # above every sum
+@example((False, [0, 5, 12], [(1, 0, 2), (1, 0, 2), (2, 0, 1)], [5, 6, 13]))  # one v per row
+def test_first_from_is_a_bisection_of_each_row(case):
+    exact, f, rows, v = case
+    sums = np.array(f, dtype=object if exact else np.uint64)
+    m, lo, hi = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    values = v if isinstance(v, list) else [v] * len(rows)
+    got = duplicates._first_from(sums, m, lo, hi, np.array(v, dtype=sums.dtype))
+    expected = [bisect_left(range(b1), w, b0, key=lambda b: f[b + n] - f[b])
+                for (n, b0, b1), w in zip(rows, values)]
+    assert got.tolist() == expected
+    assert (lo.tolist(), hi.tolist()) == ([b0 for _, b0, _ in rows], [b1 for *_, b1 in rows])
