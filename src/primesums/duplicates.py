@@ -32,58 +32,57 @@ wrap back to the exact sums, and otherwise an object array of the
 list's ints, so both run the same code.
 
 The search runs one class of run lengths per pass.  Let M_k be the
-largest M whose Carmichael function divides k (24 for k = 2, 240 for
-k = 4, 2 for odd k) and G the M_k of the leading exponent, the one
-with the most keys (the only one, in a search of one exponent), or
-the gcd of every exponent's M_k, as told below.  Then p^k = 1 (mod G)
-for every p prime to G, so a run of such powers with m terms has
-n = m (mod G), and equal sums have lengths in one class mod G.  The
-index e is one past the last power that is not 1 (mod G), read from
-the list itself: 2 for the squares of primes, whose 4 and 9 share a
-factor with 24.  Class r holds the starts from e
-on of every block (k, m) with m = r (mod G), and as a block of one
-start each run that starts before e and has n = r (mod G).  A class is
-four int64 arrays, its rows (k, m, lo, hi): the runs of m terms from the
-starts lo..hi-1.  Any other exponent k' of a cross search works mod
-g = gcd(G, M_k'), which divides M_k': its e is read mod g, its runs
-before e join the class of their exact sum, and its blocks from e on
-join each of the G/g classes r = m
-(mod g), among which lies the class of every sum they hold.  So a
-pass sorts about keys/G keys of the leading exponent and keys/g of
+largest M whose Carmichael function divides k (24 for k = 2, 240 for k
+= 4, 2 for odd k) and G the M_k of the leading exponent, the one with
+the most keys (the only one, in a search of one exponent), or the gcd
+of every exponent's M_k, as told below.  Then p^k = 1 (mod G) for
+every p prime to G, so a run of such powers with m terms has n = m
+(mod G), and equal sums have lengths in one class mod G.  The index e
+is one past the last power that is not 1 (mod G), read from the list
+itself: 2 for the squares of primes, whose 4 and 9 share a factor with
+24.  Class r holds the starts from e on of every block (k, m) with m =
+r (mod G), and as a block of one start each run that starts before e
+and has n = r (mod G).  A class is four int64 arrays, its rows (k, m,
+lo, hi): the runs of m terms from the starts lo..hi-1.  Any other
+exponent k' of a cross search works mod g = gcd(G, M_k'), which
+divides M_k': its e is read mod g, its runs before e join the class of
+their exact sum, and its blocks from e on join each of the G/g classes
+r = m (mod g), among which lies the class of every sum they hold.  So
+a pass sorts about keys/G keys of the leading exponent and keys/g of
 each other, all runs of one sum share a class, and a run that G/g
 passes hold is kept once.  Those copies cost keys and passes, so G is
 the leading M_k only while they add at most an eighth to the keys
-sorted, and else the gcd of every M_k, with which nothing is copied:
-a cross search of squares and cubes up to 10^12 or more sorts 24
-classes, each with half the cubes' few keys, while {4, 5}, whose
-fifth powers would be copied 120 times, and {12, 13} or {36, 37},
-with M_k of 65520 and 138181680 over a few dozen keys, sort 2.
+sorted, and else the gcd of every M_k, with which nothing is copied: a
+cross search of squares and cubes up to 10^12 or more sorts 24
+classes, each with half the cubes' few keys, while {4, 5}, whose fifth
+powers would be copied 120 times, and {12, 13} or {36, 37}, with M_k
+of 65520 and 138181680 over a few dozen keys, sort 2.
 
 One rule cuts a class to the in-memory cap.  A piece with more keys
-than the cap, the whole class first, is cut into value slices,
-P = ceil(keys / cap) in all: slice i holds the sums from v_i up to
+than the cap, the whole class first, is cut into value slices, P =
+ceil(keys / cap) in all: slice i holds the sums from v_i up to
 v_{i+1}, where the runs from the piece's smallest sum up to v_i are
 i/P of those from it up to its largest sum, by the shape of their
-count, v^(2/(k+1)) / (ln v)^(2k/(k+1)).  The slices are made one at
-a time, in ascending order, so a piece never holds all of them.  For
+count, v^(2/(k+1)) / (ln v)^(2k/(k+1)).  The slices are made one at a
+time, in ascending order, so a piece never holds all of them.  For
 fixed m the sums rise with b, so a row's part of a slice is one range
 of starts, and one bisection of every row at once, _first_from, finds
-where each range ends.  The shape only
-estimates where the runs lie, so a slice that still holds more than
-the cap is cut by the same rule, and so on until each piece fits or
-holds one value.  The bounds lie above the smallest sum and at most
-the largest, so every cut makes at least two pieces.
+where each range ends.  The shape only estimates where the runs lie,
+so a slice that still holds more than the cap is cut by the same rule,
+and so on until each piece fits or holds one value.  The bounds lie
+above the smallest sum and at most the largest, so every cut makes at
+least two pieces.
 
 Equal sums share a pass, so each pass's repeated keys are searched
 back into its own rows by the same bisection.  A row is read in pieces
 whose sums span less than 2^64 (the whole row below 2^63), where a key
 stands for one exact sum.  The runs found are regrouped on their exact
 sums, which drops runs that only share a key, and checked by direct
-summation.  The cross-power search sorts
-the keys of every exponent together and keeps the groups that span two
-exponents.  This module imports numpy when it loads, and it is loaded
-only by a duplicate search: neither the package nor the CLI's other
-commands import it, so they do not pay for loading numpy.
+summation.  The cross-power search sorts the keys of every exponent
+together and keeps the groups that span two exponents.  This module
+imports numpy when it loads, and it is loaded only by a duplicate
+search: neither the package nor the CLI's other commands import it, so
+they do not pay for loading numpy.
 """
 
 from array import array
@@ -294,17 +293,18 @@ def _passes(ps_by_k: dict, counts_by_k: dict, max_in_memory: int) -> tuple:
         fs.append(f)
         for m, reach in enumerate(counts_by_k[k], 1):
             if e < reach:
+                row = (k, m, at + e, at + reach)  # one tuple for every class it joins
                 for r in range(m % step, modulus, step):
-                    classes.setdefault(r, []).append((k, m, at + e, at + reach))
+                    classes.setdefault(r, []).append(row)
         for b in range(e):
             ms = np.flatnonzero(np.asarray(counts_by_k[k]) > b) + 1
             for m, n in zip(ms.tolist(), (f[b + ms] - f[b]).tolist()):
                 classes.setdefault(n % modulus, []).append((k, m, at + b, at + b + 1))
     g = gs[0] if len(gs) == 1 else np.concatenate(gs)
     f = g if all(map(is_, fs, gs)) else fs[0] if len(fs) == 1 else np.concatenate(fs)
-    # a class's rows are made as its passes start
+    # a class's rows are made, and its list dropped, as its passes start
     return g, f, base, ((r, rows) for r in sorted(classes)
-                        for rows in _within_cap(f, np.array(classes[r]).T, min(ps_by_k), max_in_memory))
+                        for rows in _within_cap(f, np.array(classes.pop(r)).T, min(ps_by_k), max_in_memory))
 
 
 def _repeated_keys(g, rows):
@@ -427,9 +427,10 @@ def find_duplicates_from_prefix(
     At most max_in_memory keys (8 bytes each) are sorted at once, or the
     runs of one value if more of them share it.  A class's value slices
     are made one at a time, so a small cap peaks at or below the default
-    cap's memory, but each pass walks every run length's range in
-    Python: find_cross_power_duplicates(10**17, {3, 4}, 1000) took 101 s
-    and 33 MB, against 0.27 s and 94 MB at the default cap, for the same
+    cap's memory, and each cut is one bisection of every run length at
+    once: find_cross_power_duplicates(x, {3, 4}, 1000) took 1.1-1.2 s,
+    2.7-2.8 s and 10.4 s at x = 10^15, 10^16 and 10^17, peaking at 32-34
+    MB, against 0.03-0.22 s and 38-94 MB at the default cap, for the same
     one group (2 vCPUs, CPython 3.11).
     """
     return _duplicate_groups({ps.k: ps}, {ps.k: starts_by_length(ps)}, max_in_memory)
