@@ -298,8 +298,8 @@ def _passes(ps_by_k: dict, counts_by_k: dict, max_in_memory: int) -> tuple:
                     classes.setdefault(r, []).append(row)
         for b in range(e):
             ms = np.flatnonzero(np.asarray(counts_by_k[k]) > b) + 1
-            for m, n in zip(ms.tolist(), (f[b + ms] - f[b]).tolist()):
-                classes.setdefault(n % modulus, []).append((k, m, at + b, at + b + 1))
+            for m, r in zip(ms.tolist(), ((f[b + ms] - f[b]) % modulus).tolist()):
+                classes.setdefault(r, []).append((k, m, at + b, at + b + 1))
     g = gs[0] if len(gs) == 1 else np.concatenate(gs)
     f = g if all(map(is_, fs, gs)) else fs[0] if len(fs) == 1 else np.concatenate(fs)
     # a class's rows are made, and its list dropped, as its passes start
