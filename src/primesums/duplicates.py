@@ -174,12 +174,6 @@ def _first_from(f, m, lo, hi, v):
     return lo
 
 
-def _span(f, rows) -> tuple:
-    """The smallest and the largest sum of a piece: a row's sums rise from lo to hi - 1."""
-    _, m, lo, hi = rows
-    return int((f[lo + m] - f[lo]).min()), int((f[hi - 1 + m] - f[hi - 1]).max())
-
-
 def _within_cap(f, rows, k: int, max_in_memory: int):
     """The rows of one class, cut by the count's shape until each piece fits the cap.
 
@@ -194,7 +188,8 @@ def _within_cap(f, rows, k: int, max_in_memory: int):
     ks, m, lo, hi = rows
     keys = int((hi - lo).sum())
     if keys > max_in_memory:
-        low, high = _span(f, rows)
+        # the piece's smallest and largest sums, as a row's rise from lo to hi - 1
+        low, high = int((f[lo + m] - f[lo]).min()), int((f[hi - 1 + m] - f[hi - 1]).max())
     if keys <= max_in_memory or low == high:
         yield rows
         return
@@ -344,10 +339,13 @@ def _hits(g, f, rows, repeated):
         k, m, lo, hi = rows
         first = f[lo + m] - f[lo]
         end = hi if f is g else _first_from(f, m, lo, hi, first + _WRAP)
-        key = g[lo + m] - g[lo]
-        offsets = repeated - key[:, None]  # mod 2^64, as the piece's sums minus first
-        row, t = np.nonzero(offsets <= (g[end - 1 + m] - g[end - 1] - key)[:, None])
-        sums = first[row] + offsets[row, t].astype(f.dtype)
+        key, last = g[lo + m] - g[lo], g[end - 1 + m] - g[end - 1]
+        # each row's repeated keys from key to last, mod 2^64, one (row, t) pair each
+        start = np.searchsorted(repeated, key)
+        count = np.searchsorted(repeated, last, "right") - start + len(repeated) * (last < key)
+        row = np.repeat(np.arange(len(lo)), count)
+        t = repeated[(np.arange(len(row)) + np.repeat(start - np.cumsum(count) + count, count)) % len(repeated)]
+        sums = first[row] + (t - key[row]).astype(f.dtype)
         b = _first_from(f, m[row], lo[row], end[row], sums)
         hit = f[b + m[row]] - f[b] == sums
         yield from zip(sums[hit].tolist(), k[row[hit]].tolist(), b[hit].tolist(), m[row[hit]].tolist())

@@ -9,7 +9,8 @@ writer both read counting.start_runs, which is also checked on its own
 for how far ahead of its starts it reads.  The prefix-array counts are
 also checked over hand-built ascending lists whose sums pass 2^128,
 and so are the duplicate search, its numpy keys and its split into
-passes, one class of run lengths each.
+passes, one class of run lengths each; its batched bisection is checked
+against one bisect_left per row.
 """
 
 import io
