@@ -286,15 +286,16 @@ def _passes(ps_by_k: dict, counts_by_k: dict, max_in_memory: int) -> tuple:
         base[k] = at = sum(map(len, gs))
         gs.append(g)
         fs.append(f)
-        for m, reach in enumerate(counts_by_k[k], 1):
+        counts = counts_by_k[k]
+        # r_of[b][m - 1] is the class of the run of m terms from b, for each b before e
+        r_of = [((f[b + 1 : b + 1 + len(counts)] - f[b]) % modulus).tolist() for b in range(e)]
+        for m, reach in enumerate(counts, 1):
             if e < reach:
                 row = (k, m, at + e, at + reach)  # one tuple for every class it joins
                 for r in range(m % step, modulus, step):
                     classes.setdefault(r, []).append(row)
-        for b in range(e):
-            ms = np.flatnonzero(np.asarray(counts_by_k[k]) > b) + 1
-            for m, r in zip(ms.tolist(), ((f[b + ms] - f[b]) % modulus).tolist()):
-                classes.setdefault(r, []).append((k, m, at + b, at + b + 1))
+            for b in range(min(e, reach)):
+                classes.setdefault(r_of[b][m - 1], []).append((k, m, at + b, at + b + 1))
     g = gs[0] if len(gs) == 1 else np.concatenate(gs)
     f = g if all(map(is_, fs, gs)) else fs[0] if len(fs) == 1 else np.concatenate(fs)
     # a class's rows are made, and its list dropped, as its passes start
