@@ -427,10 +427,10 @@ def find_duplicates_from_prefix(
     runs of one value if more of them share it.  A class's value slices
     are made one at a time, so a small cap peaks at or below the default
     cap's memory, and each cut is one bisection of every run length at
-    once: find_cross_power_duplicates(x, {3, 4}, 1000) took 1.1-1.2 s,
-    2.7-2.8 s and 10.4 s at x = 10^15, 10^16 and 10^17, peaking at 32-34
-    MB, against 0.03-0.22 s and 38-94 MB at the default cap, for the same
-    one group (2 vCPUs, CPython 3.11).
+    once: find_cross_power_duplicates(x, {3, 4}, 1000) took 1.1-1.3 s,
+    2.7-3.8 s and 10.4-11.8 s at x = 10^15, 10^16 and 10^17, peaking at
+    32-34 MB, against 0.03-0.22 s and 38-94 MB at the default cap, for
+    the same one group (2 vCPUs, CPython 3.11).
     """
     return _duplicate_groups({ps.k: ps}, {ps.k: starts_by_length(ps)}, max_in_memory)
 
