@@ -14,22 +14,24 @@ would sort them again and load numpy.ma.
 
 Every search for groups by x goes through _hunt: find_duplicates,
 find_cross_power_duplicates and the CLI's duplicates and cross call it,
-and it checks the cap and every exponent's sieve limit before the first
-prefix is built, builds one per exponent, and returns them with the
+and it checks every exponent's sieve limit and then the cap before the
+first prefix is built, builds one per exponent, and returns them with the
 groups, from which the CLI prints its expanded sums.  count_with_distinct
-(distinct_count, count --distinct) checks the cap and builds its own.
+(distinct_count, count --distinct) refuses in the same order and builds
+its own.
 
-Below x = 2^63 the searches by x take their keys straight from the sieve's
-blocks: _search_prefix makes the primes as one uint64 array('Q'), from
-numpy's indices of each block's flags, and g as their wrapping running
-sum in a second one, which it holds as f.  A bisection reads a window
-of at most 2x < 2^64, which g gives exactly, so the primes and sums
-are never held as Python ints.  Hand-built lists and x from 2^63 on
-keep build's lists, whose f is exact, and g is made from them.  The
-search reads every sum in numpy as a window f[b+m] - f[b] of one array
-f: below 2^63 that is g itself, viewed in place, whose uint64 windows
-wrap back to the exact sums, and otherwise an object array of the
-list's ints, so both run the same code.
+Every search by x takes its primes straight from the sieve's blocks:
+_search_prefix makes them as one uint64 array('Q'), from numpy's
+indices of each block's flags.  Below x = 2^63 it makes g as their
+wrapping running sum in a second one, which it holds as f.  A
+bisection reads a window of at most 2x < 2^64, which g gives exactly,
+so the primes and sums are never held as Python ints.  From 2^63 on f
+is the list of exact sums that prefix._prefix_sums makes for build
+too, and hand-built lists keep their own; g is then made from the
+primes.  The search reads every sum in numpy as a window f[b+m] - f[b]
+of one array f: below 2^63 that is g itself, viewed in place, whose
+uint64 windows wrap back to the exact sums, and otherwise an object
+array of the list's ints, so both run the same code.
 
 The search runs one class of run lengths per pass.  Let M_k be the
 largest M whose Carmichael function divides k (24 for k = 2, 240 for k
@@ -93,7 +95,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .counting import report_of, starts_by_length
-from .prefix import _WRAP, PowerPrefixSums, Representation, build, sieve_limit
+from .prefix import _WRAP, PowerPrefixSums, Representation, _prefix_sums, sieve_limit
 from .sieve import sieve_blocks
 
 DEFAULT_MAX_IN_MEMORY = 50_000_000
@@ -214,16 +216,16 @@ def _power_sums(primes, k: int, g) -> None:
 def _search_prefix(x: int, k: int) -> PowerPrefixSums:
     """The prefix sums that the search up to x reads.
 
-    Below 2^63 they come straight from the sieve's blocks, as two
-    array('Q'): the primes, and as f the sums g = f mod 2^64, which are
-    exact on every window of at most 2x.  From 2^63 on they are build's
-    lists.
+    The primes come straight from the sieve's blocks, as one
+    array('Q').  Below 2^63 f is a second one, the sums g = f mod 2^64,
+    which are exact on every window of at most 2x; from 2^63 on it is
+    the list of exact sums that build makes.
     """
-    if x >= _EXACT_BELOW:
-        return build(x, k)
     primes = array("Q")
     for first, flags in sieve_blocks(sieve_limit(x, k)):
         primes.frombytes((np.flatnonzero(np.frombuffer(flags, np.uint8)) * 2 + first).tobytes())
+    if x >= _EXACT_BELOW:
+        return _prefix_sums(primes, k, x)
     g = array("Q", [0]) * (len(primes) + 1)
     _power_sums(np.asarray(primes), k, np.asarray(g))
     return PowerPrefixSums(x, k, primes, g)
@@ -232,10 +234,11 @@ def _search_prefix(x: int, k: int) -> PowerPrefixSums:
 def _keys(ps: PowerPrefixSums, modulus: int) -> tuple:
     """(g, f, e): g = f mod 2^64 of ps as a uint64 array, an array f of its exact sums, and e.
 
-    The search's own prefix sums hold g as f, which the array shares,
-    and whose windows of at most 2x are exact, so f is g itself.  A
-    list's g is made from one uint64 array of its primes, and its f holds
-    the list's Python ints.
+    The search's own prefix sums below 2^63 hold g as f, which the
+    array shares, and whose windows of at most 2x are exact, so f is g
+    itself.  Otherwise g is made from the primes as one uint64 array,
+    a view of the search's array('Q') or a copy of a list, and f holds
+    the exact sums' Python ints.
     """
     primes = np.asarray(ps.primes, dtype=np.uint64)
     # as lambda(G) divides k, p^k = 1 (mod G) exactly when p is prime to G
@@ -476,8 +479,10 @@ def count_with_distinct(
     """The CountReport up to x and its number of distinct n <= x.
 
     The count and the duplicate search read one prefix array and one
-    starts_by_length.  The cap is refused before the prefix is built.
+    starts_by_length.  As in _hunt, k, x and the sieve budget are
+    refused first, then the cap, all before the prefix is built.
     """
+    sieve_limit(x, k)
     _check_cap(max_in_memory)
     ps = _search_prefix(x, k)
     counts = starts_by_length(ps)

@@ -6,12 +6,14 @@ p_{b+1}^k + ... + p_t^k is the difference f[t] - f[b], which
 window_sum reads and a Representation records.  build holds the
 primes and f as lists of Python ints, which hand-built lists share
 through build_from_primes.  The duplicate searches read the whole
-array, but below x = 2^63 they make it as two uint64 array('Q')
-(duplicates._search_prefix), and read its windows in numpy, not
-through window_sum; counting needs only the stream of powers
-(counting.count_up_to), and enumeration keeps f only for the current
-run (counting.start_runs).  sieve_limit maps (x, k) to the sieve limit
-for all of them.
+array, which duplicates._search_prefix makes with the primes as one
+uint64 array('Q'): below x = 2^63 f is a second one, g = f mod 2^64,
+and from 2^63 on it is _prefix_sums' list.  counting.starts_by_length
+reads the hunt's f through window_sum, whose 2^64 wrap makes g's
+windows exact, and the hunt reads every other window in numpy.
+Counting needs only the stream of powers (counting.count_up_to), and
+enumeration keeps f only for the current run (counting.start_runs).
+sieve_limit maps (x, k) to the sieve limit for all of them.
 """
 
 from itertools import accumulate, islice, repeat
@@ -70,8 +72,8 @@ class PowerPrefixSums(NamedTuple):
 
     f has len(primes) + 1 entries: f[0] = 0 and f[i] - f[i-1] is the
     k-th power of the i-th prime, so f is strictly increasing.  Those
-    that duplicates._search_prefix makes hold both in array('Q'), with
-    f mod 2^64 in place of f.
+    that duplicates._search_prefix makes hold the primes in array('Q'),
+    and below x = 2^63 f too, as f mod 2^64.
     """
 
     x: int

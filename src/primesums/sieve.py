@@ -33,9 +33,12 @@ anywhere, before, inside or past the block.  primes_from selects from
 the fixed list of even offsets 0, 2, 4, ... with itertools.compress and
 adds the odd number the read starts at to each offset kept, in C, so
 an int is made for each prime, not for each odd number.  Every prime
-leaves the sieve through it: primes_from(first, flags, first) is a
-whole block's primes, which iter_primes chains block by block and
-primes_up_to extends one list with.
+that Python reads as an int leaves the sieve through it:
+primes_from(first, flags, first) is a whole block's primes, which
+iter_primes chains block by block and primes_up_to lists.  The one
+other reader of whole blocks is the duplicate search, whose
+duplicates._search_prefix reads each block's primes in numpy, as the
+indices of its flags, into one uint64 array.
 
 A limit whose one-byte-per-odd-number flags would exceed BUDGET_BYTES
 (2 GiB, a fixed limit past about 4.3 * 10^9) raises SieveMemoryError
@@ -76,17 +79,6 @@ def check_budget(limit: int) -> None:
         )
 
 
-def _odd_segments(limit: int) -> Iterator[tuple]:
-    """Yield (first, flags) segments covering the odd numbers 1 .. limit.
-
-    flags[i] is 1 exactly when first + 2*i is prime.  The limit is
-    checked when this is called, not when the first segment is drawn.
-    """
-    check_budget(limit)
-    base = list(iter_primes(math.isqrt(limit)))[1:]  # the odd base primes
-    return _sieve_segments(sieve_bytes_needed(limit), base, segment_bytes(limit))
-
-
 def segment_bytes(limit: int) -> int:
     """The flags in each segment of a sieve up to limit (see above).
 
@@ -100,7 +92,8 @@ def segment_bytes(limit: int) -> int:
     return min(max(size, SEGMENT_BYTES), 8 * SEGMENT_BYTES)
 
 
-def _sieve_segments(size: int, base: list, segment: int) -> Iterator[tuple]:
+def _segment_blocks(size: int, base: list, segment: int) -> Iterator[tuple]:
+    """Sieve the first size odd numbers a segment at a time, and yield each segment's sub-blocks."""
     # flag index i covers the odd number 2*i + 1, so the odd multiples
     # of p from p*p on sit at indices p*p // 2, p*p // 2 + p, ...
     for lo in range(0, size, segment):
@@ -115,17 +108,10 @@ def _sieve_segments(size: int, base: list, segment: int) -> Iterator[tuple]:
             if start < lo:
                 start += (lo - start + p - 1) // p * p
             flags[start - lo :: p] = bytes((hi - start + p - 1) // p)
-        yield 2 * lo + 1, flags
-        del flags  # drop it before the next segment is made
-
-
-def _sub_blocks(segments: Iterator[tuple]) -> Iterator[tuple]:
-    """The segments cut into (first, flags) sub-blocks of BLOCK_ODDS odd numbers."""
-    for first, flags in segments:
-        for i in range(0, len(flags), BLOCK_ODDS):
+        for i in range(0, hi - lo, BLOCK_ODDS):
             # the last sub-block may be short
-            yield first + 2 * i, flags[i : i + BLOCK_ODDS]
-        del flags  # drop it before the next segment is drawn
+            yield 2 * (lo + i) + 1, flags[i : i + BLOCK_ODDS]
+        del flags  # drop it before the next segment is made
 
 
 def count_flags(flags) -> int:
@@ -174,6 +160,8 @@ def sieve_blocks(limit: int) -> Iterator[tuple]:
     is (2, b"\x01"), the prime 2 on its own; each later one is a
     sub-block of BLOCK_ODDS odd numbers, from 1 on, so a block covers
     the numbers below its block_end that the blocks before it do not.
+    The call checks the budget and sieves the base primes up to
+    sqrt(limit); each segment is sieved as its first sub-block is drawn.
     Raises SieveMemoryError when called, before any block is produced,
     if limit lies past the fixed sieve budget.
     """
@@ -181,7 +169,10 @@ def sieve_blocks(limit: int) -> Iterator[tuple]:
         raise ValueError(f"limit must be nonnegative, got {limit}")
     if limit < 2:
         return iter(())
-    return itertools.chain(((2, b"\x01"),), _sub_blocks(_odd_segments(limit)))
+    check_budget(limit)
+    base = list(iter_primes(math.isqrt(limit)))[1:]  # the odd base primes
+    blocks = _segment_blocks(sieve_bytes_needed(limit), base, segment_bytes(limit))
+    return itertools.chain(((2, b"\x01"),), blocks)
 
 
 def iter_primes(limit: int) -> Iterator[int]:
@@ -197,10 +188,7 @@ def iter_primes(limit: int) -> Iterator[int]:
 
 def primes_up_to(limit: int) -> list:
     """Every prime p <= limit, as an ascending list."""
-    primes = []
-    for first, flags in sieve_blocks(limit):
-        primes += primes_from(first, flags, first)
-    return primes
+    return list(iter_primes(limit))
 
 
 def prime_count(limit: int) -> int:

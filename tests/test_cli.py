@@ -365,12 +365,13 @@ def test_bare_memory_error_gets_a_message(capsys, monkeypatch):
 
 def test_table_and_count_stream_without_the_prefix_array(capsys, monkeypatch):
     # table, plain count and enumerate read primes straight from the
-    # sieve: none builds the prime list or the prefix array
+    # sieve: none builds the prime list or the prefix array, and the
+    # hunts read the sieve's blocks into arrays of their own
     def refused(*args, **kwargs):
-        raise AssertionError("table, count and enumerate must not build the prefix array")
+        raise AssertionError("no command may call build, build_from_primes or primes_up_to")
 
     # the CLI loads the hunt only for the commands that hunt; loaded
-    # here, its build is guarded too
+    # here, any of these names it imports is guarded too
     import primesums.duplicates  # noqa: F401
 
     for name, module in list(sys.modules.items()):
@@ -388,9 +389,13 @@ def test_table_and_count_stream_without_the_prefix_array(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "enumerate", "--k", "3", "--x", "1e9")
     assert code == 0
     assert out == "".join(f"{n}\t{p}\n" for n, p, _ in direct_sums(10 ** 9, 3))
-    # the guard holds: a hunt from 2^63 on still builds the lists
+    # a hunt from 2^63 on, whose sums are exact ints, builds no list either
+    code, out, _ = run_cli(capsys, "count", "--k", "10", "--x", "1e38", "--distinct")
+    assert code == 0
+    assert out == f"{10 ** 38}\t10\t175797\t586\t820\t175797\n"
+    # the guard holds: a direct call is refused
     with pytest.raises(AssertionError):
-        main(["count", "--k", "10", "--x", "1e38", "--distinct"])
+        primesums.prefix.build(10 ** 6, 2)
 
 
 def test_out_file_unwritable_exits_two(capsys, tmp_path):

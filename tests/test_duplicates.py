@@ -12,7 +12,7 @@ from math import gcd
 import pytest
 
 from golden import window_sums
-from primesums import duplicates
+from primesums import cli, duplicates
 from primesums.counting import count_sums, starts_by_length
 from primesums.duplicates import (
     _modulus,
@@ -245,6 +245,38 @@ def test_a_cap_is_refused_before_the_first_prefix(monkeypatch, search, cap, erro
         search(cap)
 
 
+@pytest.mark.parametrize("x, k, error, match", [
+    (10 ** 40, 2, ValueError, "x must be an unsigned 128-bit integer"),
+    (10 ** 5, 1, ValueError, "power k must be in"),
+    (10 ** 30, 2, MemoryError, "budget is"),
+], ids=["x", "k", "budget"])
+@pytest.mark.parametrize("search", [find_duplicates, distinct_count])
+def test_k_x_and_the_budget_are_refused_before_the_cap(search, x, k, error, match):
+    # both searches refuse in one order: k, x and the sieve budget, then the cap
+    with pytest.raises(error, match=match):
+        search(x, k, 0)
+
+
+def test_a_run_that_direct_summation_refutes_is_an_error(capsys, monkeypatch):
+    # 14720439 is the runs of 87 squares from 131 (index 31) and of 15
+    # from 941.  Moving 131 by 24 keeps it prime to 24, so the classes and
+    # f stay those of the squares, but f is no longer the primes' power
+    # sums: the group is found by its keys, and its first run is refused
+    ps = _search_prefix(15 * 10 ** 6, 2)
+    primes = array("Q", ps.primes)
+    primes[31] += 24
+    bad = ps._replace(primes=primes)
+    direct = 14720439 - 131 ** 2 + 155 ** 2
+    refusal = f"run at index 31 length 87 sums to {direct}, expected 14720439"
+    with pytest.raises(RuntimeError, match=refusal):
+        find_duplicates_from_prefix(bad)
+    # the CLI prints nothing of a search that fails its check
+    monkeypatch.setattr(duplicates, "_search_prefix", lambda x, k: bad)
+    with pytest.raises(RuntimeError, match=refusal):
+        cli.main(["duplicates", "--k", "2", "--x", str(15 * 10 ** 6)])
+    assert capsys.readouterr().out == ""
+
+
 def test_cross_power_witness():
     groups = find_cross_power_duplicates(10 ** 5, {2, 3})
     assert len(groups) == 1
@@ -338,6 +370,9 @@ def test_cross_power_needs_two_exponents():
         find_cross_power_duplicates(10 ** 5, {2})
     with pytest.raises(ValueError):
         find_cross_power_duplicates(10 ** 5, [3, 3])
+    # the search over prefixes refuses one exponent too
+    with pytest.raises(ValueError, match=r"needs >= 2 distinct exponents, got \[2\]"):
+        find_cross_power_duplicates_from_prefixes({2: build(10 ** 5, 2)})
 
 
 def test_cross_power_excludes_single_exponent_duplicates():
@@ -425,12 +460,14 @@ def builder_limits():
                          + [(10 ** 13, 2), (10 ** 18, 3), (10 ** 21, 3)])
 def test_search_prefix_is_build_as_uint64(x, k):
     ps, lists = _search_prefix(x, k), build(x, k)
-    if x >= 2 ** 63:
-        assert ps == lists
-        return
     assert (ps.x, ps.k) == (lists.x, lists.k)
-    assert ps.primes.typecode == ps.f.typecode == "Q"
+    assert ps.primes.typecode == "Q"
     assert ps.primes.tolist() == lists.primes
+    if x >= 2 ** 63:
+        # from 2^63 on f holds the exact sums, as build's does
+        assert type(ps.f) is list and ps.f == lists.f
+        return
+    assert ps.f.typecode == "Q"
     assert ps.f.tolist() == [v % 2 ** 64 for v in lists.f]
 
 
@@ -459,7 +496,7 @@ def test_cross_searches_on_the_search_prefix_equal_the_list_path(x, ks, values):
 @pytest.mark.parametrize("k, small", [(4, 10 ** 4), (5, 10 ** 3)])
 def test_hunts_on_both_sides_of_2_63(k, small):
     # below 2^63 the search reads g, whose windows of up to 2x stay below
-    # 2^64; from 2^63 on it reads build's lists
+    # 2^64; from 2^63 on it reads the exact sums as a list
     below, at = _search_prefix(2 ** 63 - 1, k), _search_prefix(2 ** 63, k)
     assert isinstance(below.f, array) and isinstance(at.f, list)
     assert starts_by_length(below) == starts_by_length(build(2 ** 63 - 1, k))

@@ -243,8 +243,11 @@ def test_limits_at_the_edges_of_larger_segments(monkeypatch, j, offset):
     limit = edge + offset
     size = segment_bytes(limit)
     assert size == 8 * sieve.SEGMENT_BYTES
-    firsts = [first for first, _ in sieve._odd_segments(limit)]
+    # each segment starts a sub-block, one every size // BLOCK_ODDS blocks
+    blocks = list(sieve_blocks(limit))[1:]
+    firsts = [first for first, _ in blocks[:: size // BLOCK_ODDS]]
     assert firsts == list(range(1, limit + 1, 2 * size))
+    assert all(len(flags) == BLOCK_ODDS for _, flags in blocks[:-1])
     expected = trial_primes(limit)
     assert primes_up_to(limit) == expected
     assert list(iter_primes(limit)) == expected
